@@ -18,15 +18,6 @@ often than they signal a regression, so they inform the reviewer
 instead of gating the merge.  With ``--strict`` any metric drifting
 beyond the tolerance fails the job, so CI can opt in per-job.
 
-With ``--events PATH`` the per-kind event counts of an
-``events.jsonl`` (written by ``--events-out``) are diffed against the
-baseline's ``events.counts`` section.  Event streams are
-schedule-dependent by design (steal/heartbeat/clock counts vary run to
-run), so this check **never gates** — not even under ``--strict`` — it
-only flags fleets that stopped emitting lifecycle events or started
-emitting fault events (resubmit/partition/crash) on a healthy-run
-baseline.
-
 With ``--ledger DIR`` the single-baseline compare is replaced by
 trajectory-aware gating: the newest run in the run ledger
 (``--ledger-dir``) is scored against its own trailing window with a
@@ -70,11 +61,11 @@ def lint_seed_hygiene(root: str) -> list[str]:
 
     * builtin ``hash()`` — salted per process (PYTHONHASHSEED), so any
       value derived from it silently varies between a serial run and
-      its fleet workers.  Derive seeds/positions through ``zlib.crc32``
+      its pool workers.  Derive seeds/positions through ``zlib.crc32``
       (see ``repro.experiments.charstudy.stable_seed``).
     * module-level ``random.*()`` — the global RNG's state depends on
       import order and everything else that touched it, so its output
-      differs between backends.  Use a seeded ``random.Random(seed)``
+      differs between runs.  Use a seeded ``random.Random(seed)``
       instance (or ``repro.runtime.backoff`` for jitter) instead.
 
     Mentions in strings and docstrings are fine; only calls are flagged.
@@ -177,55 +168,6 @@ def diff_metrics(
     return checked, warnings
 
 
-def diff_events(
-    events_path: str, baseline_events: dict, tolerance: float
-) -> tuple[dict, list[str]]:
-    """Per-kind event-count drift vs the baseline; informational only.
-
-    Event streams are schedule-dependent by design (steals depend on
-    queue-drain order, clock samples on heartbeat timing), so this
-    never gates — not even under ``--strict``.  Baselined kinds with a
-    zero expected count (resubmit/partition/crash/downgrade) warn on
-    *any* occurrence: they signal an unhealthy fleet, not drift.
-    """
-    try:
-        from repro.obs.events import read_events
-    except ImportError:
-        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-        from repro.obs.events import read_events
-
-    counts: dict[str, int] = {}
-    for event in read_events(events_path):
-        kind = event.get("kind", "?")
-        counts[kind] = counts.get(kind, 0) + 1
-    checked = {}
-    warnings = []
-    for kind, expected in baseline_events.get("counts", {}).items():
-        measured = counts.get(kind, 0)
-        drift = (measured - expected) / expected if expected else None
-        checked[kind] = {
-            "baseline": expected,
-            "measured": measured,
-            "drift": round(drift, 4) if drift is not None else None,
-        }
-        if expected == 0 and measured:
-            warnings.append(
-                f"events.{kind}: {measured} event(s) on a run baselined "
-                f"at zero (fleet fault indicator)"
-            )
-        elif drift is not None and abs(drift) > tolerance:
-            warnings.append(
-                f"events.{kind}: {measured} drifted {drift:+.0%} from "
-                f"baseline {expected} (tolerance {tolerance:.0%})"
-            )
-    # un-baselined kinds (heartbeat/steal/clock...) are reported but
-    # never compared — their counts are pure scheduling noise
-    for kind in sorted(set(counts) - set(checked)):
-        checked[kind] = {"baseline": None, "measured": counts[kind],
-                         "drift": None}
-    return checked, warnings
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--bench",
@@ -239,23 +181,10 @@ def main(argv=None) -> int:
                         help="run-ledger directory: gate the newest run "
                         "against its own trailing window (MAD z-score) "
                         "instead of a pinned baseline")
-    parser.add_argument("--events", metavar="PATH",
-                        help="events.jsonl (from --events-out): warn when "
-                        "per-kind event counts drift from the baseline's "
-                        "events.counts (schedule-dependent; never gates)")
-    parser.add_argument("--backends",
-                        help="bench_backends.py --json output: warn when a "
-                        "backend's overhead over inproc exceeds the "
-                        "baseline's backends.max_overhead (never gates)")
     parser.add_argument("--audit",
                         help="bench_audit.py --json output: warn when the "
                         "flight recorder's full/reservoir overhead over the "
                         "audit-off leg exceeds the baseline's audit "
-                        "watermarks (never gates)")
-    parser.add_argument("--service",
-                        help="bench_service.py --json output: warn when "
-                        "submit-to-first-byte latency or dedup-hit "
-                        "throughput crosses the baseline's service "
                         "watermarks (never gates)")
     parser.add_argument("--baseline", default="benchmarks/baseline.json")
     parser.add_argument("--tolerance", type=float, default=None,
@@ -285,11 +214,10 @@ def main(argv=None) -> int:
         print(f"seed-hygiene lint: no builtin hash() or unseeded "
               f"random.* call sites under {args.lint_root}/")
         return 0
-    if not (args.bench or args.metrics or args.ledger or args.backends
-            or args.events or args.audit or args.service):
+    if not (args.bench or args.metrics or args.ledger or args.audit):
         parser.error(
-            "nothing to check: pass --bench, --metrics, --ledger, "
-            "--backends, --events, --audit and/or --service"
+            "nothing to check: pass --bench, --metrics, --ledger "
+            "and/or --audit"
         )
 
     with open(args.baseline) as handle:
@@ -365,34 +293,6 @@ def main(argv=None) -> int:
             observed, baseline_metrics, metrics_tolerance
         )
 
-    events_checked = {}
-    events_warnings = []
-    if args.events:
-        baseline_events = baseline.get("events", {})
-        events_tolerance = (
-            args.tolerance if args.tolerance is not None
-            else float(baseline_events.get("tolerance", 0.5))
-        )
-        events_checked, events_warnings = diff_events(
-            args.events, baseline_events, events_tolerance
-        )
-
-    backends_doc = None
-    backends_warnings = []
-    if args.backends:
-        with open(args.backends) as handle:
-            backends_doc = json.load(handle)
-        max_overhead = float(
-            baseline.get("backends", {}).get("max_overhead", 4.0)
-        )
-        for entry in backends_doc.get("backends", []):
-            if entry.get("overhead", 0.0) > max_overhead:
-                backends_warnings.append(
-                    f"backend {entry['backend']}: {entry['wall_s']:g}s is "
-                    f"{entry['overhead']:g}x the inproc reference "
-                    f"(watermark {max_overhead:g}x)"
-                )
-
     audit_doc = None
     audit_warnings = []
     if args.audit:
@@ -409,29 +309,6 @@ def main(argv=None) -> int:
                     f"audit {leg}: {overhead:g}x the audit-off sweep "
                     f"(watermark {watermark:g}x)"
                 )
-
-    service_doc = None
-    service_warnings = []
-    if args.service:
-        with open(args.service) as handle:
-            service_doc = json.load(handle)
-        baseline_service = baseline.get("service", {})
-        max_first_byte = float(
-            baseline_service.get("max_submit_first_byte_s", 2.0)
-        )
-        first_byte = float(service_doc.get("submit_first_byte_s", 0.0))
-        if first_byte > max_first_byte:
-            service_warnings.append(
-                f"service submit-to-first-byte: {first_byte:g}s exceeds the "
-                f"{max_first_byte:g}s watermark"
-            )
-        min_dedup_rps = float(baseline_service.get("min_dedup_hit_rps", 20.0))
-        dedup_rps = service_doc.get("dedup_hit_rps")
-        if dedup_rps is not None and float(dedup_rps) < min_dedup_rps:
-            service_warnings.append(
-                f"service dedup-hit throughput: {dedup_rps:g} req/s is below "
-                f"the {min_dedup_rps:g} req/s watermark"
-            )
 
     ledger_findings = []
     ledger_warnings = []
@@ -468,14 +345,8 @@ def main(argv=None) -> int:
         "scaling": scaling,
         "metrics": metrics_checked,
         "metrics_warnings": metrics_warnings,
-        "events": events_checked,
-        "events_warnings": events_warnings,
-        "backends": backends_doc,
-        "backends_warnings": backends_warnings,
         "audit": audit_doc,
         "audit_warnings": audit_warnings,
-        "service": service_doc,
-        "service_warnings": service_warnings,
         "ledger": ledger_findings,
         "ledger_warnings": ledger_warnings,
         "strict": args.strict,
@@ -499,41 +370,11 @@ def main(argv=None) -> int:
         status = "DRIFTED" if drifted else "ok"
         print(f"  {name:<36s} {info['measured']!s:>12s} "
               f"(baseline {info['baseline']!s}, drift {drift_text}) {status}")
-    for kind, info in events_checked.items():
-        drift = info["drift"]
-        drift_text = f"{drift:+.0%}" if drift is not None else "n/a"
-        drifted = any(w.startswith(f"events.{kind}:") for w in events_warnings)
-        status = "DRIFTED" if drifted else "ok"
-        baseline_text = (
-            str(info["baseline"]) if info["baseline"] is not None else "-"
-        )
-        print(f"  events.{kind:<28s} {info['measured']:>5d} "
-              f"(baseline {baseline_text}, drift {drift_text}) {status}")
-    if backends_warnings:
-        # Backend overhead is environment-sensitive (CI machines vary);
-        # it informs the reviewer and never gates, even under --strict.
-        print("BACKEND OVERHEAD (warning only):", file=sys.stderr)
-        for warning in backends_warnings:
-            print(f"  {warning}", file=sys.stderr)
     if audit_warnings:
-        # Recording cost is environment-sensitive like backend overhead;
-        # it informs the reviewer and never gates, even under --strict.
+        # Recording cost is environment-sensitive (CI machines vary); it
+        # informs the reviewer and never gates, even under --strict.
         print("AUDIT OVERHEAD (warning only):", file=sys.stderr)
         for warning in audit_warnings:
-            print(f"  {warning}", file=sys.stderr)
-    if service_warnings:
-        # Service latency/throughput is environment-sensitive (CI machines
-        # vary); byte-identity of served reports is the hard gate, so
-        # these numbers inform the reviewer and never gate, even under
-        # --strict.
-        print("SERVICE OVERHEAD (warning only):", file=sys.stderr)
-        for warning in service_warnings:
-            print(f"  {warning}", file=sys.stderr)
-    if events_warnings:
-        # Event streams are schedule-dependent by design; counts inform
-        # the reviewer and never gate, even under --strict.
-        print("EVENT-COUNT DRIFT (warning only):", file=sys.stderr)
-        for warning in events_warnings:
             print(f"  {warning}", file=sys.stderr)
     drift_warnings = metrics_warnings + ledger_warnings
     if drift_warnings:

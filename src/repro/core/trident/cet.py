@@ -1,7 +1,8 @@
 """Choke Error Table (CET): Trident's EID store.
 
-A RAM-organised table of Error IDs with Bloom-filtered parallel lookup
-and pseudo-LRU replacement (§4.3.5).  The lookup key is the instruction
+A RAM-organised table of Error IDs with parallel lookup and pseudo-LRU
+replacement (§4.3.5).  The hardware probes through a Bloom filter; the
+dict probe here is its exact software equivalent.  The lookup key is the instruction
 context (initialising opcode, sensitising opcode, operand size classes,
 pipestage); the payload is the error class, which tells the CDC how many
 stall cycles the avoidance mechanism must insert.
@@ -9,7 +10,6 @@ stall cycles the avoidance mechanism must insert.
 
 from __future__ import annotations
 
-from repro.core.bloom import BloomFilter
 from repro.core.plru import PseudoLRUTree
 from repro.core.tags import ErrorId
 
@@ -17,7 +17,7 @@ from repro.core.tags import ErrorId
 class ChokeErrorTable:
     """Capacity-bounded EID table with pseudo-LRU replacement."""
 
-    def __init__(self, capacity: int = 128, bloom_bits: int | None = None) -> None:
+    def __init__(self, capacity: int = 128) -> None:
         if capacity < 1 or capacity & (capacity - 1):
             raise ValueError(f"capacity must be a power of two, got {capacity}")
         self.capacity = capacity
@@ -25,7 +25,6 @@ class ChokeErrorTable:
         self._index: dict[tuple, int] = {}  # key -> slot
         self._classes: dict[tuple, int] = {}  # key -> stored error class
         self._plru = PseudoLRUTree(capacity)
-        self._bloom = BloomFilter(bloom_bits or max(64, capacity * 16))
         self.unique_insertions = 0
         self.evictions = 0
 
@@ -38,11 +37,9 @@ class ChokeErrorTable:
         A hit marks the entry recently used (it is about to save a
         recovery, the most valuable kind of entry).
         """
-        if key not in self._bloom:
-            return None
         slot = self._index.get(key)
         if slot is None:
-            return None  # Bloom false positive
+            return None
         self._plru.touch(slot)
         return self._classes[key]
 
@@ -71,7 +68,6 @@ class ChokeErrorTable:
         self._index[key] = slot
         self._classes[key] = eid.err_class
         self._plru.touch(slot)
-        self._bloom.rebuild(self._index)
 
     def keys(self) -> list[tuple]:
         return list(self._index)

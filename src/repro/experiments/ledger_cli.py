@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     html.add_argument("--trace", help="trace.json path to reference for drill-down")
     html.add_argument(
         "--events",
-        help="events.jsonl from a fleet run; renders the fleet-lane timeline",
+        help="events.jsonl from a --jobs N run; renders the fleet-lane timeline",
     )
     return parser
 

@@ -68,17 +68,10 @@ from repro.obs.recorder import (
     Span,
     TelemetryRecorder,
 )
-from repro.obs.tracectx import (
-    ClockSync,
-    correct_shard,
-    new_span_id,
-    new_trace_id,
-    timeline_now_us,
-)
+from repro.obs.tracectx import new_trace_id
 from repro.obs.trends import detect_drift, diff_records, flatten, history, robust_z
 
 __all__ = [
-    "ClockSync",
     "EVENT_KINDS",
     "EVENTS_VERSION",
     "EventLog",
@@ -93,7 +86,6 @@ __all__ = [
     "Span",
     "TelemetryRecorder",
     "build_record",
-    "correct_shard",
     "determinism_view",
     "detect_drift",
     "diff_records",
@@ -120,7 +112,6 @@ __all__ = [
     "load_shards",
     "merge_shards",
     "metrics_document",
-    "new_span_id",
     "new_trace_id",
     "observe",
     "profile_report",
@@ -132,7 +123,6 @@ __all__ = [
     "scan_shards",
     "span",
     "summary_table",
-    "timeline_now_us",
     "trace_document",
 ]
 
@@ -228,7 +218,7 @@ def get_event_log() -> EventLog | None:
 
 
 def recent_events(n: int = 16) -> tuple[str, ...]:
-    """The flight recorder's last ``n`` events (crash/partition context)."""
+    """The flight recorder's last ``n`` events (crash context)."""
     log = _events
     if log is None:
         return ()
@@ -241,8 +231,7 @@ def ensure_worker_events(path: str | None, trace_id: str = "") -> EventLog | Non
     Fork workers inherit the parent's :class:`EventLog` (same path, a
     shared ``O_APPEND`` descriptor — whole-line appends interleave
     safely), so an inherited log targeting the same file is kept.
-    ``path=None`` (events off, or a remote worker whose coordinator
-    owns the file) drops any inherited log.
+    ``path=None`` (events off) drops any inherited log.
     """
     global _events
     if path is None:

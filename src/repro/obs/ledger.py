@@ -209,39 +209,6 @@ def build_record(
 # the store
 # ----------------------------------------------------------------------
 
-def append_jsonl_line(
-    path: str | os.PathLike, record: dict[str, Any], fsync: bool = True
-) -> None:
-    """Crash-safely append one record as a single JSON line.
-
-    The shared ``O_APPEND`` tail-repair path used by the run ledger and
-    the service job journal: the record is one ``write()`` of one
-    ``\\n``-terminated line, and if a previous append was cut short (the
-    file ends mid-line) a leading newline terminates the fragment first,
-    so the fragment is skipped on read instead of corrupting this record
-    too.  Readers (:meth:`RunLedger.records`,
-    :func:`repro.obs.events.iter_events`) never need coordination with
-    an appender: they see whole lines plus at most one truncated tail.
-    """
-    line = json.dumps(record, sort_keys=True)
-    if "\n" in line:
-        raise ValueError("journal records must serialise to one line")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        prefix = b""
-        size = os.fstat(fd).st_size
-        if size > 0:
-            with open(path, "rb") as handle:
-                handle.seek(size - 1)
-                if handle.read(1) != b"\n":
-                    prefix = b"\n"
-        os.write(fd, prefix + line.encode() + b"\n")
-        if fsync:
-            os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 class RunLedger:
     """The append-only JSONL store under one ``--ledger-dir``."""
 
@@ -255,8 +222,32 @@ class RunLedger:
 
     # -- writing -------------------------------------------------------
     def append(self, record: dict[str, Any]) -> Path:
-        """Crash-safely append one record (see :func:`append_jsonl_line`)."""
-        append_jsonl_line(self.path, record)
+        """Crash-safely append one record as a single JSON line.
+
+        The record is one ``write()`` of one ``\\n``-terminated line on
+        an ``O_APPEND`` descriptor, fsynced.  If a previous append was
+        cut short (the file ends mid-line) a leading newline terminates
+        the fragment first, so the fragment is skipped on read instead
+        of corrupting this record too.  Readers (:meth:`records`) never
+        need coordination with an appender: they see whole lines plus at
+        most one truncated tail.
+        """
+        line = json.dumps(record, sort_keys=True)
+        if "\n" in line:
+            raise ValueError("ledger records must serialise to one line")
+        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        try:
+            prefix = b""
+            size = os.fstat(fd).st_size
+            if size > 0:
+                with open(self.path, "rb") as handle:
+                    handle.seek(size - 1)
+                    if handle.read(1) != b"\n":
+                        prefix = b"\n"
+            os.write(fd, prefix + line.encode() + b"\n")
+            os.fsync(fd)
+        finally:
+            os.close(fd)
         return self.path
 
     def rewrite(self, records: Iterable[dict[str, Any]]) -> None:

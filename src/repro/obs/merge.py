@@ -52,7 +52,6 @@ SCHEDULE_DEPENDENT_PREFIXES = (
     "worker.",
     "prefetch.",
     "parallel.",
-    "backend.",
     "executor.backoff",
     "span.",
     "sta.",
@@ -66,12 +65,9 @@ SCHEDULE_DEPENDENT_PREFIXES = (
     "runner.chips_",
     "runner.inputs_",
     "pv.populations_",
-    # RPC frame traffic and event emission scale with heartbeat cadence,
-    # steals, and resubmissions — schedule-dependent by definition; clock
-    # samples depend on network round trips.
-    "frames.",
+    # event emission scales with resubmissions — schedule-dependent by
+    # definition.
     "events.",
-    "clock.",
     # audit.* counters track how many runs/records the audit sink saw in
     # *this process* — parallel workers re-simulate what a serial run
     # memoises, so the counts are schedule-dependent (the merged audit

@@ -25,7 +25,7 @@ import logging
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -732,179 +732,6 @@ def _check_parallel_vs_serial(case: dict[str, int]) -> list[str]:
     return violations
 
 
-def _diff_reports(serial, other, label: str) -> list[str]:
-    """Submission-order + bit-identity comparison of two RunReports."""
-    if len(serial.outcomes) != len(other.outcomes):
-        return [
-            f"outcome count serial={len(serial.outcomes)} {label}={len(other.outcomes)}"
-        ]
-    violations: list[str] = []
-    for serial_outcome, other_outcome in zip(serial.outcomes, other.outcomes):
-        if serial_outcome.experiment_id != other_outcome.experiment_id:
-            violations.append(f"{label} merge order diverged from submission order")
-            break
-        if serial_outcome.ok != other_outcome.ok:
-            violations.append(
-                f"{serial_outcome.experiment_id}: ok serial={serial_outcome.ok} "
-                f"{label}={other_outcome.ok}"
-            )
-            continue
-        if serial_outcome.ok:
-            if serial_outcome.result.to_text() != other_outcome.result.to_text():
-                violations.append(
-                    f"{serial_outcome.experiment_id}: {label} report diverges "
-                    f"from the serial report"
-                )
-    return violations
-
-
-def _check_remote_vs_serial(case: dict[str, int]) -> list[str]:
-    """The remote socket fleet must match the serial executor bit for
-    bit — including with a chaos partition taking a worker out."""
-    import subprocess
-    import sys
-    from dataclasses import replace
-
-    import repro
-    from repro.experiments.config import FAST_CONFIG
-    from repro.experiments.runner import ExperimentContext
-    from repro.runtime.backends import RemoteBackend, RemoteOptions
-    from repro.runtime.chaos import ChaosNet
-    from repro.runtime.executor import run_many
-    from repro.runtime.parallel import WorkerSpec
-
-    mask = case["subset_mask"]
-    ids = ("fig3_4",) + tuple(
-        x for i, x in enumerate(_PARALLEL_EXTRAS) if mask >> i & 1
-    )
-    config = replace(FAST_CONFIG, cycles=case["cycles"])
-    chaos = ChaosNet("partition") if case["partition"] else None
-
-    serial = run_many(ids, ExperimentContext(config))
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    procs: list = []
-    try:
-        for _ in range(2):
-            procs.append(
-                subprocess.Popen(
-                    [sys.executable, "-m", "repro.experiments", "worker",
-                     "--listen", "127.0.0.1:0", "--max-sessions", "1"],
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.DEVNULL,
-                    text=True,
-                    env=env,
-                )
-            )
-        addresses = []
-        for proc in procs:
-            ready = proc.stdout.readline().split()
-            if not ready or ready[0] != "READY":
-                return [f"worker failed to start (said {ready!r})"]
-            addresses.append(f"127.0.0.1:{ready[1]}")
-        backend = RemoteBackend(RemoteOptions(
-            workers=tuple(addresses),
-            heartbeat_s=0.1,
-            heartbeat_deadline_s=2.0,
-            chaos_net=chaos,
-        ))
-        with tempfile.TemporaryDirectory(prefix="qa-remote-") as tmp:
-            spec = WorkerSpec(config=config, checkpoint_dir=os.path.join(tmp, "ckpt"))
-            remote, _stats = backend.run(ids, spec)
-    finally:
-        for proc in procs:
-            proc.kill()
-            proc.wait()
-    return _diff_reports(serial, remote, "remote")
-
-
-def _check_service_vs_cli(case: dict[str, int]) -> list[str]:
-    """A report fetched through the HTTP service must be byte-identical
-    to the CLI path's bytes for the same request — and the dedup cache
-    must never serve one request another request's bytes.
-
-    Three legs over one live service (real HTTP, ephemeral port):
-
-    1. submit request A, compare the served bytes against the canonical
-       renderer over a serial run of the same configuration;
-    2. submit request B (same ids/format, different cycle count) and
-       make the same comparison — a dedup layer keyed too coarsely
-       (the planted ``service-stale-dedup`` mutant) hands B the bytes
-       of A and dies here;
-    3. resubmit A: it must dedup-hit, serve the identical bytes, and
-       not recompute (the ``executed`` counter must not move).
-    """
-    from dataclasses import replace
-
-    from repro.experiments.config import FAST_CONFIG
-    from repro.experiments.reportio import render_report
-    from repro.experiments.runner import ExperimentContext
-    from repro.runtime.executor import run_many
-    from repro.service.client import ServiceClient
-    from repro.service.server import ServiceThread
-
-    mask = case["subset_mask"]
-    ids = ["fig3_4"] + [
-        x for i, x in enumerate(_PARALLEL_EXTRAS) if mask >> i & 1
-    ]
-    fmt = ("json", "text", "csv")[case["fmt_sel"]]
-    cycles_a = case["cycles"]
-    cycles_b = cycles_a + 137  # a different, equally valid request
-
-    def cli_bytes(cycles: int) -> bytes:
-        config = replace(FAST_CONFIG, cycles=cycles)
-        report = run_many(ids, ExperimentContext(config))
-        return render_report(report, fmt).encode()
-
-    expected_a = cli_bytes(cycles_a)
-    expected_b = cli_bytes(cycles_b)
-
-    violations: list[str] = []
-    with tempfile.TemporaryDirectory(prefix="qa-service-") as tmp:
-        service = ServiceThread(tmp)
-        try:
-            client = ServiceClient(port=service.port)
-
-            first = client.submit(ids, fast=True, fmt=fmt, cycles=cycles_a)
-            done = client.wait(first["id"], timeout_s=600)
-            if done["state"] != "done":
-                return [f"job {first['id']} ended {done['state']}: "
-                        f"{(done.get('error') or {}).get('message', '')}"]
-            if client.report(first["id"]) != expected_a:
-                violations.append(
-                    f"service report diverges from the CLI bytes (fmt={fmt})"
-                )
-
-            second = client.submit(ids, fast=True, fmt=fmt, cycles=cycles_b)
-            done_b = client.wait(second["id"], timeout_s=600)
-            if done_b["state"] != "done":
-                return violations + [
-                    f"job {second['id']} ended {done_b['state']}"
-                ]
-            if client.report(second["id"]) != expected_b:
-                violations.append(
-                    "dedup served another request's bytes: a different cycle "
-                    "count must never reuse a recorded report"
-                )
-
-            executed = client.stats()["counters"]["executed"]
-            third = client.submit(ids, fast=True, fmt=fmt, cycles=cycles_a)
-            if third["disposition"] != "dedup_hit":
-                violations.append(
-                    f"identical resubmission was {third['disposition']!r}, "
-                    "expected a dedup hit"
-                )
-            elif client.report(third["id"]) != expected_a:
-                violations.append("dedup hit served different bytes")
-            if client.stats()["counters"]["executed"] != executed:
-                violations.append("a dedup hit must not recompute")
-        finally:
-            service.stop()
-    return violations
-
-
 # ----------------------------------------------------------------------
 # trend statistics
 # ----------------------------------------------------------------------
@@ -1164,32 +991,6 @@ ORACLES: dict[str, Oracle] = {
             params={"subset_mask": Param(0, 3), "cycles": Param(300, 800)},
             check=_check_parallel_vs_serial,
             cost=45.0,
-            tier="deep",
-        ),
-        Oracle(
-            name="remote_vs_serial",
-            description="remote socket fleet vs serial executor, with and "
-            "without a chaos partition",
-            params={
-                "subset_mask": Param(0, 3),
-                "cycles": Param(300, 800),
-                "partition": Param(0, 1),
-            },
-            check=_check_remote_vs_serial,
-            cost=60.0,
-            tier="deep",
-        ),
-        Oracle(
-            name="service_vs_cli",
-            description="HTTP service report byte-identical to the CLI "
-            "path, dedup never serves stale bytes",
-            params={
-                "subset_mask": Param(0, 3),
-                "cycles": Param(200, 500),
-                "fmt_sel": Param(0, 2),
-            },
-            check=_check_service_vs_cli,
-            cost=30.0,
             tier="deep",
         ),
     )

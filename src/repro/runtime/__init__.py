@@ -7,15 +7,14 @@ reproduction harness itself:
   crashing experiment never aborts the batch.
 * :mod:`repro.runtime.checkpoint` — checksum-verified on-disk store for
   expensive artefacts (chips, error traces) enabling checkpoint/resume.
-* :mod:`repro.runtime.parallel` — process-pool fan-out of artefacts and
-  experiments with deterministic merge and crash containment.
-* :mod:`repro.runtime.backends` — pluggable executor backends (inproc /
-  procpool / remote socket fleet) behind one bit-identical contract.
+* :mod:`repro.runtime.parallel` — where a batch runs: serially in this
+  process (``run_serial``) or fanned out across a process pool with
+  deterministic merge and crash containment (``run_fleet``).
 * :mod:`repro.runtime.backoff` — exponential backoff with deterministic
-  seeded jitter, shared by retries and fleet reconnects.
-* :mod:`repro.runtime.chaos` — deliberate fault injection (experiment,
-  store, and network faults) so tests can prove the layers above
-  degrade gracefully.
+  seeded jitter for experiment retries.
+* :mod:`repro.runtime.chaos` — deliberate fault injection (experiment
+  and store faults) so tests can prove the layers above degrade
+  gracefully.
 * :mod:`repro.runtime.log` — shared structured logging.
 """
 
@@ -43,6 +42,7 @@ from repro.runtime.parallel import (
     prefetch_artefacts,
     run_fleet,
     run_many_parallel,
+    run_serial,
 )
 
 __all__ = [
@@ -65,5 +65,6 @@ __all__ = [
     "run_fleet",
     "run_many",
     "run_many_parallel",
+    "run_serial",
     "run_supervised",
 ]

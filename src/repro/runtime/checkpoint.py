@@ -262,10 +262,10 @@ class CheckpointStore:
     def _claim_owner_dead(path: Path) -> bool:
         """True iff the claim records a same-host pid that no longer exists.
 
-        The remote backend shares the store across machines, so the
-        claim records ``pid hostname`` and the pid liveness probe only
-        applies to claims from *this* host — a foreign host's pid space
-        says nothing about ours.  Foreign, unreadable, or legacy
+        A checkpoint directory may be shared across machines (a network
+        filesystem), so the claim records ``pid hostname`` and the pid
+        liveness probe only applies to claims from *this* host — a
+        foreign host's pid space says nothing about ours.  Foreign, unreadable, or legacy
         pid-only-from-elsewhere claims fall back to the age rule.
         """
         try:
@@ -273,8 +273,8 @@ class CheckpointStore:
             pid = int(fields[0])
         except (OSError, ValueError, IndexError):
             return False
-        # a second field is the owner's hostname (pre-fleet claims have
-        # none and are always local)
+        # a second field is the owner's hostname (older pid-only claims
+        # have none and are always local)
         if len(fields) > 1 and fields[1] != socket.gethostname():
             return False
         if pid <= 0 or pid == os.getpid():

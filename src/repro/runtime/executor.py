@@ -41,7 +41,7 @@ class FailureRecord:
     """Everything needed to triage one failed experiment run."""
 
     experiment_id: str
-    kind: str  # "exception" | "timeout" | "crash" | "partition"
+    kind: str  # "exception" | "timeout" | "crash"
     error_type: str
     message: str
     traceback: str
@@ -49,9 +49,9 @@ class FailureRecord:
     elapsed_s: float
     attempts: int = 1
     #: flight-recorder dump: the last few structured events before a
-    #: crash/partition blame ("what was the fleet doing").  Deliberately
-    #: excluded from rendered reports — events are schedule-dependent
-    #: and reports must stay bit-identical across backends.
+    #: crash blame ("what was the pool doing").  Deliberately excluded
+    #: from rendered reports — events are schedule-dependent and reports
+    #: must stay bit-identical across ``--jobs``.
     context: tuple[str, ...] = ()
 
     def summary(self) -> str:
@@ -157,8 +157,8 @@ def run_supervised(
 
     ``retry_backoff_s`` > 0 sleeps between attempts with an
     exponentially growing, deterministically jittered delay (seeded by
-    experiment id and attempt), so a fleet retrying a shared-resource
-    failure never stampedes it in lockstep.
+    experiment id and attempt), so parallel workers retrying a
+    shared-resource failure never stampede it in lockstep.
 
     ``KeyboardInterrupt`` and ``SystemExit`` are deliberately NOT
     contained — the user aborting the whole run must still work.

@@ -22,13 +22,15 @@ guarantee the serial runtime makes:
   ``--timeout-s``.  A worker that dies outright (SIGKILL, OOM,
   ``--chaos-kill``) breaks the pool; the orchestrator rebuilds the
   pool, re-runs tasks that never started, gives possibly-innocent
-  started tasks ``crash_retries`` more chances, and converts repeat
+  started tasks :data:`CRASH_RETRIES` more chances, and converts repeat
   offenders into ``kind="crash"`` failure records — one murdered
   worker degrades to one failed experiment, never a dead run.
 
-The public entry point is :func:`run_fleet` (prefetch + fan-out), with
-:func:`prefetch_artefacts` and :func:`run_many_parallel` usable
-separately.
+This module owns *where* a batch runs: :func:`run_serial` runs it in
+this process (the CLI's ``--jobs 1``, and the reference every parallel
+run must match), :func:`run_fleet` prefetches shared artefacts and fans
+out across a process pool (``--jobs`` > 1).  :func:`prefetch_artefacts`
+and :func:`run_many_parallel` are the two halves of :func:`run_fleet`.
 """
 
 from __future__ import annotations
@@ -47,10 +49,14 @@ from typing import Any, Callable, Sequence
 from repro import obs
 from repro.obs import audit
 from repro.runtime.checkpoint import CheckpointStore, StoreStats, config_fingerprint
-from repro.runtime.executor import FailureRecord, RunOutcome, RunReport
+from repro.runtime.executor import FailureRecord, RunOutcome, RunReport, run_many
 from repro.runtime.log import get_logger
 
 logger = get_logger("parallel")
+
+#: extra runs a started task gets after its worker died under it, before
+#: the death is blamed on the task as a ``kind="crash"`` failure
+CRASH_RETRIES = 1
 
 
 def default_jobs() -> int:
@@ -98,12 +104,10 @@ class WorkerSpec:
     #: workers that cannot attach fall back to local computation)
     shm_catalog: Any = None
     #: run-scoped trace id propagated into every worker span (None =
-    #: tracing off); remote task frames carry it across the wire
+    #: tracing off)
     trace_id: str | None = None
-    #: the coordinator's run-level span id (parent linkage for workers)
-    parent_span_id: str | None = None
     #: run event-stream file (None = events off); fork workers append
-    #: directly, remote workers get it nulled (the coordinator emits)
+    #: to it directly
     events_path: str | None = None
     #: parent-managed directory for cycle-audit shards (None = audit off)
     audit_dir: str | None = None
@@ -142,7 +146,7 @@ def _worker_context(spec: WorkerSpec):
         from repro.runtime.shm import ShmReader
 
         # Attach lazily per array; a worker that cannot see the parent's
-        # segments (remote machine, parent gone) computes locally instead.
+        # segments (parent gone) computes locally instead.
         shared = ShmReader(spec.shm_catalog)
     return ExperimentContext(spec.config, store=store, shared=shared)
 
@@ -334,7 +338,6 @@ def run_many_parallel(
     spec: WorkerSpec,
     jobs: int | None = None,
     on_outcome: Callable[[RunOutcome], None] | None = None,
-    crash_retries: int = 1,
 ) -> tuple[RunReport, StoreStats]:
     """Supervise a batch across worker processes.
 
@@ -443,7 +446,7 @@ def run_many_parallel(
                     for eid in unfinished:
                         if eid in blamed:
                             crashes[eid] += 1
-                            if crashes[eid] > crash_retries:
+                            if crashes[eid] > CRASH_RETRIES:
                                 outcomes[eid] = _crash_outcome(
                                     eid, spec,
                                     "worker process died"
@@ -454,11 +457,11 @@ def run_many_parallel(
                                 continue
                             logger.warning(
                                 "worker running %s died; retrying (%d/%d)",
-                                eid, crashes[eid], crash_retries,
+                                eid, crashes[eid], CRASH_RETRIES,
                             )
                             obs.emit(
                                 "resubmit", experiment=eid,
-                                reason=f"worker died ({crashes[eid]}/{crash_retries})",
+                                reason=f"worker died ({crashes[eid]}/{CRASH_RETRIES})",
                             )
                             # a repeat offender re-runs quarantined
                             isolate.append(eid)
@@ -487,51 +490,98 @@ def run_fleet(
     spec: WorkerSpec,
     jobs: int | None = None,
     on_outcome: Callable[[RunOutcome], None] | None = None,
-    prefetch: bool = True,
-    crash_retries: int = 1,
-    share_artefacts: bool = True,
 ) -> tuple[RunReport, StoreStats]:
     """Prefetch shared artefacts, then fan the experiments out.
 
-    The convenience wrapper the CLI uses for ``--jobs > 1``.  With
-    ``share_artefacts`` the parent fabricates the run's chip populations
-    and encoded input streams once, publishes them to shared-memory
-    segments, and ships only the catalog inside the :class:`WorkerSpec`
-    — workers attach zero-copy views instead of pickling or recomputing
-    whole chips.  Publishing is best-effort: on any failure the fleet
-    runs exactly as before, computing artefacts through the store.
+    The CLI's path for ``--jobs`` > 1.  The parent first fabricates the
+    run's chip populations and encoded input streams once, publishes
+    them to shared-memory segments, and ships only the catalog inside
+    the :class:`WorkerSpec` -- workers attach zero-copy views instead of
+    pickling or recomputing whole chips.  Publishing is best-effort: on
+    any failure the fleet computes artefacts through the store instead.
     """
+    from repro.experiments.runner import build_shared_artefacts
+
     jobs = jobs or default_jobs()
     obs.gauge("parallel.jobs", jobs)
+    for eid in experiment_ids:
+        obs.emit("scheduled", experiment=eid, worker="procpool")
     stats = StoreStats()
     publisher = None
-    if share_artefacts:
-        from repro.experiments.runner import build_shared_artefacts
-
-        try:
-            catalog, publisher = build_shared_artefacts(
-                spec.config, experiment_ids
-            )
-        except Exception as exc:
-            logger.warning(
-                "shared-memory publish failed (%s); workers will compute "
-                "artefacts locally", exc,
-            )
-        else:
-            if catalog is not None and len(catalog):
-                spec = dataclasses.replace(spec, shm_catalog=catalog)
     try:
-        if prefetch:
-            stats.merge(prefetch_artefacts(spec, experiment_ids, jobs))
+        catalog, publisher = build_shared_artefacts(spec.config, experiment_ids)
+    except Exception as exc:
+        logger.warning(
+            "shared-memory publish failed (%s); workers will compute "
+            "artefacts locally", exc,
+        )
+    else:
+        if catalog is not None and len(catalog):
+            spec = dataclasses.replace(spec, shm_catalog=catalog)
+    try:
+        stats.merge(prefetch_artefacts(spec, experiment_ids, jobs))
         with obs.span(
             "parallel.fanout", experiments=len(experiment_ids), jobs=jobs
         ):
             report, run_stats = run_many_parallel(
-                experiment_ids, spec, jobs=jobs,
-                on_outcome=on_outcome, crash_retries=crash_retries,
+                experiment_ids, spec, jobs=jobs, on_outcome=on_outcome
             )
     finally:
         if publisher is not None:
             publisher.unlink()
     stats.merge(run_stats)
     return report, stats
+
+
+def run_serial(
+    experiment_ids: Sequence[str],
+    spec: WorkerSpec,
+    on_outcome: Callable[[RunOutcome], None] | None = None,
+) -> tuple[RunReport, StoreStats]:
+    """Run the batch in this process: the CLI's ``--jobs 1`` path.
+
+    The reference every :func:`run_fleet` report must match byte for
+    byte.  ``chaos_fail`` and ``chaos_slow`` are honoured; ``chaos_kill``
+    is not -- its ``os._exit`` body would take this process down, which
+    is why the CLI refuses ``--chaos-kill`` with ``--jobs 1``.
+    """
+    from repro.experiments.runner import ExperimentContext
+
+    store = None
+    if spec.checkpoint_dir:
+        store = CheckpointStore(
+            spec.checkpoint_dir,
+            resume=spec.resume,
+            claim_stale_s=spec.claim_stale_s,
+            claim_poll_s=spec.claim_poll_s,
+        )
+    ctx = ExperimentContext(spec.config, store=store)
+    for eid in experiment_ids:
+        obs.emit("scheduled", experiment=eid, worker="inproc")
+    body = _worker_resolve(dataclasses.replace(spec, chaos_kill=()))
+
+    def resolve(experiment_id: str) -> Callable:
+        obs.emit("started", experiment=experiment_id, worker="inproc")
+        return body(experiment_id)
+
+    def report_outcome(outcome: RunOutcome) -> None:
+        obs.emit(
+            "result",
+            experiment=outcome.experiment_id,
+            worker="inproc",
+            status="ok" if outcome.ok else outcome.failure.kind,
+            elapsed_s=round(outcome.elapsed_s, 3),
+        )
+        if on_outcome is not None:
+            on_outcome(outcome)
+
+    report = run_many(
+        experiment_ids,
+        ctx,
+        retries=spec.retries,
+        timeout_s=spec.timeout_s,
+        retry_backoff_s=spec.retry_backoff_s,
+        resolve=resolve,
+        on_outcome=report_outcome,
+    )
+    return report, store.stats if store is not None else StoreStats()

@@ -12,8 +12,7 @@ small picklable :class:`ShmCatalog` of (segment name, shape, dtype)
 travels inside the :class:`~repro.runtime.parallel.WorkerSpec`.
 
 Failure philosophy: the hand-off is strictly an accelerator.  Workers
-that cannot attach a segment (remote machines, exhausted /dev/shm,
-racing cleanup) silently fall back to computing the artefact themselves
+that cannot attach a segment (exhausted /dev/shm, racing cleanup) silently fall back to computing the artefact themselves
 through the claimed checkpoint store — nothing about correctness ever
 depends on shared memory being available.
 
@@ -141,8 +140,8 @@ class ShmReader:
     """Worker-side view of a :class:`ShmCatalog`.
 
     ``get`` returns a read-only numpy view into the parent's segment, or
-    ``None`` when the segment cannot be attached (remote machine, the
-    parent already cleaned up) — callers must treat ``None`` as "compute
+    ``None`` when the segment cannot be attached (the parent already
+    cleaned up) — callers must treat ``None`` as "compute
     it yourself".  Attached segments are cached and kept referenced for
     the reader's lifetime so views never outlive their buffer.
     """
@@ -166,7 +165,7 @@ class ShmReader:
         try:
             segment = _attach_untracked(spec.segment)
         except (FileNotFoundError, OSError, ValueError) as exc:
-            # No /dev/shm segment here (remote worker, parent gone):
+            # No /dev/shm segment here (parent gone):
             # degrade to local computation, once, quietly.
             self._failed.add(key)
             logger.debug("shm attach failed for %s: %s", key, exc)

@@ -91,12 +91,11 @@ def test_truncated_last_line_is_tolerated_and_repaired(tmp_path):
 
 
 def test_reader_tolerates_concurrent_service_appends(tmp_path):
-    """A ledger CLI reader racing the service's appender sees only
-    whole records, in order — never a torn or duplicated one.
+    """A ledger reader racing an appender sees only whole records, in
+    order — never a torn or duplicated one.
 
-    This is the contract the service layer leans on: ``GET /ledger``
-    and ``ledger list`` read while the job runner appends through the
-    same ``O_APPEND`` one-line-per-write path.
+    ``ledger list`` may read while a run appends through the
+    ``O_APPEND`` one-line-per-write path.
     """
     import threading
 

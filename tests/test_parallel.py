@@ -25,7 +25,9 @@ from repro.runtime import (
     CheckpointStore,
     WorkerSpec,
     prefetch_artefacts,
+    run_fleet,
     run_many_parallel,
+    run_serial,
 )
 
 TINY = replace(FAST_CONFIG, cycles=200)
@@ -80,6 +82,53 @@ def test_parallel_run_shares_user_checkpoint_store(tmp_path, capsys):
     assert main([*argv, "--jobs", "2"]) == 0
     second = capsys.readouterr().out
     assert ", 0 stored" in second and "0 hits" not in second
+
+
+def report_digest(report) -> str:
+    """Wall-clock-free JSON digest of a report."""
+    rows = []
+    for outcome in report.outcomes:
+        row = {"id": outcome.experiment_id, "ok": outcome.ok}
+        if outcome.result is not None:
+            row["result"] = outcome.result.to_dict()
+        if outcome.failure is not None:
+            row["failure"] = {
+                "kind": outcome.failure.kind,
+                "error_type": outcome.failure.error_type,
+            }
+        rows.append(row)
+    return json.dumps(rows, sort_keys=True)
+
+
+def test_run_serial_and_run_fleet_reports_identical(tmp_path):
+    ids = ["fig3_4", "tab3_ovh", "tab4_ovh"]
+    seen_serial, seen_fleet = [], []
+    ref, _ = run_serial(
+        ids, tiny_spec(tmp_path / "a"),
+        on_outcome=lambda o: seen_serial.append(o.experiment_id),
+    )
+    got, stats = run_fleet(
+        ids, tiny_spec(tmp_path / "b"), jobs=2,
+        on_outcome=lambda o: seen_fleet.append(o.experiment_id),
+    )
+    assert report_digest(ref) == report_digest(got)
+    # on_outcome fires in submission order on both paths
+    assert seen_serial == seen_fleet == ids
+    assert stats.stores > 0  # the fleet really shared the store
+
+
+def test_cli_jobs_1_and_2_text_reports_identical(tmp_path):
+    from repro.experiments.__main__ import main
+
+    out_1 = tmp_path / "jobs1.txt"
+    out_2 = tmp_path / "jobs2.txt"
+    argv = ["fig3_4", "tab3_ovh", "--fast", "--cycles", "200"]
+    assert main([*argv, "--jobs", "1", "--out", str(out_1)]) == 0
+    # the --jobs 2 side is also traced: telemetry never reaches the report
+    assert main([*argv, "--jobs", "2", "--out", str(out_2),
+                 "--trace-out", str(tmp_path / "trace.json"),
+                 "--events-out", str(tmp_path / "events.jsonl")]) == 0
+    assert out_1.read_bytes() == out_2.read_bytes()
 
 
 # ----------------------------------------------------------------------
