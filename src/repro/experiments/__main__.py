@@ -300,7 +300,6 @@ def main(argv: list[str] | None = None) -> int:
     # artefacts.
     trace_id = obs.new_trace_id() if (telemetry_on or events_on or audit_on) else ""
     recorder = None
-    telemetry_dir = None
     if telemetry_on:
         recorder = obs.enable(obs.TelemetryRecorder(
             process="main",
@@ -308,22 +307,17 @@ def main(argv: list[str] | None = None) -> int:
             profile_top=args.profile_top,
             trace_id=trace_id,
         ))
-        if jobs > 1:
-            telemetry_dir = tempfile.mkdtemp(prefix="repro-telemetry-")
     if events_on:
         try:  # a fresh run starts a fresh stream (the log appends)
             os.unlink(args.events_out)
         except OSError:
             pass
         obs.enable_events(obs.EventLog(args.events_out, trace_id=trace_id))
-    audit_dir = None
     if audit_on:
-        # Parent and workers all flush shards here; the post-run merge
-        # deduplicates and writes the single --audit-out stream.
-        audit_dir = tempfile.mkdtemp(prefix="repro-audit-")
-        audit.enable(audit.AuditRecorder(
-            policy=audit_policy, shard_dir=audit_dir, trace_id=trace_id,
-        ))
+        # Workers return their run blocks with each result and this sink
+        # absorbs them; the post-run merge deduplicates and writes the
+        # single --audit-out stream.
+        audit.enable(audit.AuditRecorder(policy=audit_policy))
 
     store = None
     if args.checkpoint_dir:
@@ -365,11 +359,10 @@ def main(argv: list[str] | None = None) -> int:
         chaos_kill=tuple(args.chaos_kill),
         verbose=args.verbose,
         claim_stale_s=args.claim_stale_s,
-        telemetry_dir=telemetry_dir,
+        telemetry=telemetry_on,
         profile=bool(args.profile),
         trace_id=trace_id or None,
         events_path=args.events_out if events_on else None,
-        audit_dir=audit_dir,
         audit_policy=audit_policy if audit_on else None,
     )
     logger.info("running %d experiment(s) with --jobs %d", len(ids), jobs)
@@ -393,23 +386,15 @@ def main(argv: list[str] | None = None) -> int:
     if store is not None:
         store.stats.merge(worker_stats)
 
-    # Fold the parent's recorder and every worker shard into the final
-    # telemetry documents before any reporting happens.
+    # Render the final telemetry documents before any reporting happens;
+    # the parent's recorder already holds every accepted worker result's.
     metrics_doc = None
     trace_doc = None
     profiles: list = []
     if telemetry_on and recorder is not None:
-        shard_docs = [recorder.snapshot_doc()]
-        if telemetry_dir is not None:
-            worker_docs, stale = obs.scan_shards(telemetry_dir)
-            shard_docs.extend(worker_docs)
-            shutil.rmtree(telemetry_dir, ignore_errors=True)
-        else:
-            stale = 0
-        registry, events, profiles, processes = obs.merge_shards(shard_docs)
-        if stale:
-            registry.inc("obs.stale_shards_skipped", stale)
-            logger.warning("skipped %d stale telemetry shard(s)", stale)
+        registry, events, profiles, processes = obs.merge_shards(
+            [recorder.snapshot_doc()]
+        )
         metrics_doc = obs.metrics_document(registry, processes)
         trace_doc = obs.trace_document(events, trace_id=trace_id)
         obs.disable()
@@ -418,20 +403,14 @@ def main(argv: list[str] | None = None) -> int:
         obs.disable_events()
         print(f"events written to {args.events_out} ({count} event(s))")
 
-    # Fold the audit shards the same way: parent flush + worker scan,
-    # content-digest dedup, one merged deterministic stream.
+    # The audit sink likewise holds the parent's and the workers' runs:
+    # content-digest dedup makes one deterministic stream of them.
     audit_rollup_doc = None
     audit_write_failed = False
     if audit_on:
         sink = audit.get()
-        if sink is not None:
-            sink.flush()
         audit.disable()
-        audit_docs, audit_stale = audit.scan_audit_shards(audit_dir)
-        shutil.rmtree(audit_dir, ignore_errors=True)
-        if audit_stale:
-            logger.warning("skipped %d stale audit shard(s)", audit_stale)
-        audit_runs = audit.merge_audit(audit_docs)
+        audit_runs = audit.merge_audit([{"runs": sink.snapshot_runs()}])
         audit_rollup_doc = audit.audit_rollup(audit_runs)
         try:
             audit.write_audit(

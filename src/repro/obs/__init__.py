@@ -13,10 +13,11 @@ whether anything is recorded depends on the process-global recorder:
   counters/gauges/histograms, emits Chrome trace events per span, and —
   with profiling on — captures ``cProfile`` stats for the slowest spans.
 
-Parallel runs give every worker process its own recorder
-(:func:`ensure_worker`) flushing to a per-process shard file
-(:func:`flush_worker`); :mod:`repro.obs.merge` folds the shards into one
-``metrics.json`` + ``trace.json`` deterministically.
+In parallel runs each pool task installs a fresh recorder and returns
+its document with the task's result; the parent folds every accepted
+document into its own recorder
+(:meth:`TelemetryRecorder.absorb`), and :mod:`repro.obs.merge` renders
+that one recorder as ``metrics.json`` + ``trace.json``.
 
 Typical instrumentation::
 
@@ -50,25 +51,21 @@ from repro.obs.ledger import (
     headline_metrics,
 )
 from repro.obs.merge import (
-    SCHEDULE_DEPENDENT_PREFIXES,
+    SCHEDULE_INVARIANT_COUNTERS,
     determinism_view,
-    load_shards,
     merge_shards,
     metrics_document,
     profile_report,
-    scan_shards,
     summary_table,
     trace_document,
 )
 from repro.obs.metrics import Histogram, MetricsRegistry, labelled, quantile
 from repro.obs.recorder import (
     NULL_SPAN,
-    SHARD_VERSION,
     NullSpan,
     Span,
     TelemetryRecorder,
 )
-from repro.obs.tracectx import new_trace_id
 from repro.obs.trends import detect_drift, diff_records, flatten, history, robust_z
 
 __all__ = [
@@ -81,8 +78,7 @@ __all__ = [
     "MetricsRegistry",
     "NullSpan",
     "RunLedger",
-    "SCHEDULE_DEPENDENT_PREFIXES",
-    "SHARD_VERSION",
+    "SCHEDULE_INVARIANT_COUNTERS",
     "Span",
     "TelemetryRecorder",
     "build_record",
@@ -95,11 +91,9 @@ __all__ = [
     "enable",
     "enable_events",
     "enabled",
-    "ensure_worker",
     "ensure_worker_events",
     "events_enabled",
     "flatten",
-    "flush_worker",
     "format_event",
     "gauge",
     "get_event_log",
@@ -109,7 +103,6 @@ __all__ = [
     "inc",
     "iter_events",
     "labelled",
-    "load_shards",
     "merge_shards",
     "metrics_document",
     "new_trace_id",
@@ -120,7 +113,6 @@ __all__ = [
     "recent_events",
     "render_dashboard",
     "robust_z",
-    "scan_shards",
     "span",
     "summary_table",
     "trace_document",
@@ -152,6 +144,17 @@ def enabled() -> bool:
 
 def get_recorder() -> TelemetryRecorder | None:
     return _recorder
+
+
+def new_trace_id() -> str:
+    """A 128-bit run-scoped trace id (hex, W3C traceparent sized).
+
+    The CLI stamps it into the :class:`~repro.runtime.parallel.WorkerSpec`,
+    workers stamp it into every span they record, and the trace document
+    carries it as metadata — one id links the report, the ledger record,
+    the event stream, and the trace.
+    """
+    return os.urandom(16).hex()
 
 
 # ----------------------------------------------------------------------
@@ -241,42 +244,3 @@ def ensure_worker_events(path: str | None, trace_id: str = "") -> EventLog | Non
     if log is not None and log.path == str(path):
         return log
     return enable_events(EventLog(path, trace_id=trace_id))
-
-
-# ----------------------------------------------------------------------
-# worker-process lifecycle (used by repro.runtime.parallel)
-# ----------------------------------------------------------------------
-
-def ensure_worker(
-    shard_dir: str | None,
-    process: str = "worker",
-    profile: bool = False,
-    trace_id: str = "",
-) -> TelemetryRecorder | None:
-    """Give a worker process its own recorder writing to ``shard_dir``.
-
-    Fork workers inherit the parent's recorder object; recording into it
-    would double-count the parent's history into the worker's shard, so
-    a recorder whose pid is not ours is replaced with a fresh one.  With
-    ``shard_dir=None`` (telemetry off) any inherited recorder is
-    discarded instead.
-    """
-    global _recorder
-    if shard_dir is None:
-        if _recorder is not None and _recorder.pid != os.getpid():
-            _recorder = None
-        return None
-    recorder = _recorder
-    if recorder is not None and recorder.pid == os.getpid():
-        return recorder
-    return enable(TelemetryRecorder(
-        process=process, profile=profile, shard_dir=shard_dir,
-        trace_id=trace_id,
-    ))
-
-
-def flush_worker() -> None:
-    """Rewrite the current worker's shard file (idempotent, never raises)."""
-    recorder = _recorder
-    if recorder is not None and recorder.shard_dir is not None:
-        recorder.flush()

@@ -20,10 +20,11 @@ Design rules, mirroring :mod:`repro.obs`:
   keeps; reservoir sampling is seeded deterministically from the run's
   identity — never from pid or time — so sampled streams are
   schedule-independent.
-* **Deterministic artefacts.**  Workers flush packed ``.npz`` shards
-  (``audit-v1-<pid>-<tag>.npz``) that :func:`merge_audit` folds into one
-  stream, deduplicating identical run blocks by content digest so
-  ``--jobs 1`` and ``--jobs 2`` merge to the same stream.
+* **Deterministic artefacts.**  Each pool task returns its finished run
+  blocks with its result; the parent's sink absorbs them and
+  :func:`merge_audit` folds everything into one stream, deduplicating
+  identical run blocks by content digest so ``--jobs 1`` and
+  ``--jobs 2`` merge to the same stream.
 * **Reports untouched.**  Audit never feeds back into
   :class:`~repro.core.schemes.base.SchemeResult` or report text; an
   audited run's report is byte-identical to an unaudited one.
@@ -38,9 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import tempfile
-import time
 import zlib
 from typing import Any
 
@@ -48,7 +47,7 @@ import numpy as np
 
 from repro import obs
 
-#: bump when the shard/stream layout changes; mismatched shards are stale.
+#: bump when the stream layout changes; :func:`load_audit` refuses others.
 AUDIT_VERSION = 1
 
 # ----------------------------------------------------------------------
@@ -300,24 +299,17 @@ def _digest_columns(columns: dict[str, np.ndarray]) -> str:
 
 
 # ----------------------------------------------------------------------
-# process-level recorder (shard writer)
+# process-level recorder
 # ----------------------------------------------------------------------
 
 class AuditRecorder:
     """Per-process audit sink accumulating finished run blocks."""
 
-    def __init__(
-        self,
-        policy: str | SamplePolicy = "full",
-        shard_dir: str | None = None,
-        trace_id: str = "",
-    ) -> None:
+    def __init__(self, policy: str | SamplePolicy = "full") -> None:
         self.policy = policy if isinstance(policy, SamplePolicy) else SamplePolicy(policy)
-        self.shard_dir = shard_dir
-        self.trace_id = trace_id
-        self.pid = os.getpid()
-        self._shard_tag = time.time_ns()
         self.runs: list[RunRecorder] = []
+        #: finished run blocks returned by pool tasks (see :meth:`absorb`)
+        self.absorbed: list[dict[str, Any]] = []
 
     def begin_run(
         self,
@@ -361,31 +353,13 @@ class AuditRecorder:
         )
 
     def snapshot_runs(self) -> list[dict[str, Any]]:
-        """Finished run blocks (unfinished runs are skipped, not broken)."""
-        return [run.to_block() for run in self.runs if run.done]
+        """Finished run blocks, absorbed ones included (unfinished runs
+        are skipped, not broken)."""
+        return [run.to_block() for run in self.runs if run.done] + self.absorbed
 
-    def shard_path(self) -> str | None:
-        if self.shard_dir is None:
-            return None
-        name = f"audit-v{AUDIT_VERSION}-{self.pid}-{self._shard_tag}.npz"
-        return os.path.join(self.shard_dir, name)
-
-    def flush(self) -> None:
-        """Atomically (re)write this process's shard; never raises."""
-        path = self.shard_path()
-        if path is None:
-            return
-        try:
-            _write_npz(path, {
-                "version": AUDIT_VERSION,
-                "pid": self.pid,
-                "trace_id": self.trace_id,
-                "policy": self.policy.text,
-            }, self.snapshot_runs())
-        except Exception:
-            # Telemetry must never take down a run; a missing shard just
-            # reduces audit coverage (and is reported as stale on scan).
-            pass
+    def absorb(self, blocks: list[dict[str, Any]]) -> None:
+        """Add the run blocks a worker task returned with its result."""
+        self.absorbed.extend(blocks)
 
 
 def _write_npz(path: str, header: dict[str, Any], runs: list[dict[str, Any]]) -> None:
@@ -432,47 +406,8 @@ def _read_npz(path: str) -> dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# shard scan / merge / stream IO
+# merge / stream IO
 # ----------------------------------------------------------------------
-
-_SHARD_NAME = re.compile(r"^audit-v(\d+)-(\d+)-\d+\.npz$")
-
-
-def scan_audit_shards(shard_dir: str) -> tuple[list[dict[str, Any]], int]:
-    """Load every current-version audit shard under ``shard_dir``.
-
-    Returns ``(documents, stale)`` where ``stale`` counts shards whose
-    filename or header version/pid did not line up (leftovers from an
-    older layout or a recycled pid) — skipped, like ``obs.scan_shards``.
-    """
-    documents: list[dict[str, Any]] = []
-    stale = 0
-    try:
-        names = sorted(os.listdir(shard_dir))
-    except OSError:
-        return [], 0
-    for name in names:
-        match = _SHARD_NAME.match(name)
-        if match is None:
-            continue
-        if int(match.group(1)) != AUDIT_VERSION:
-            stale += 1
-            continue
-        path = os.path.join(shard_dir, name)
-        try:
-            document = _read_npz(path)
-        except Exception:
-            stale += 1
-            continue
-        if document.get("version") != AUDIT_VERSION:
-            stale += 1
-            continue
-        if int(document.get("pid", -1)) != int(match.group(2)):
-            stale += 1
-            continue
-        documents.append(document)
-    return documents, stale
-
 
 def _run_key(run: dict[str, Any]) -> tuple:
     return (
@@ -487,7 +422,7 @@ def _run_key(run: dict[str, Any]) -> tuple:
 
 
 def merge_audit(documents: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Fold shard documents into one deduplicated, deterministic stream.
+    """Fold audit documents into one deduplicated, deterministic stream.
 
     Identical run blocks (same identity *and* content digest) collapse to
     one — a serial run memoises each simulation while parallel workers
@@ -734,35 +669,3 @@ def enabled() -> bool:
 def get() -> AuditRecorder | None:
     """The hot-path accessor: hoist into a local before a cycle loop."""
     return _sink
-
-
-def ensure_worker(
-    shard_dir: str | None,
-    policy: str | None = "full",
-    trace_id: str = "",
-) -> AuditRecorder | None:
-    """Give a worker process its own audit recorder (fork-safe).
-
-    Like :func:`repro.obs.ensure_worker`: an inherited recorder whose pid
-    is not ours would replay the parent's history into the worker's
-    shard, so it is replaced; ``shard_dir=None`` (audit off) drops any
-    inherited recorder.
-    """
-    global _sink
-    if shard_dir is None:
-        if _sink is not None and _sink.pid != os.getpid():
-            _sink = None
-        return None
-    sink = _sink
-    if sink is not None and sink.pid == os.getpid():
-        return sink
-    return enable(AuditRecorder(
-        policy=policy or "full", shard_dir=shard_dir, trace_id=trace_id,
-    ))
-
-
-def flush_worker() -> None:
-    """Rewrite the current worker's audit shard (idempotent, never raises)."""
-    sink = _sink
-    if sink is not None and sink.shard_dir is not None:
-        sink.flush()

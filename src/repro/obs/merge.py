@@ -1,129 +1,54 @@
-"""Deterministic shard merging and telemetry document rendering.
+"""Telemetry document merging and rendering.
 
-A telemetry run produces one in-memory recorder in the parent plus zero
-or more ``shard-<pid>-<tag>.json`` files written by workers.  This
-module folds them into the two artefacts the CLI emits:
+A telemetry run has one in-memory recorder, in the parent.  Pool
+workers return a telemetry document with each task's result and the
+parent folds every accepted one into that recorder
+(:meth:`~repro.obs.recorder.TelemetryRecorder.absorb`), so a result
+lost to a broken pool takes its counters with it.  This module renders
+recorder documents into the two artefacts the CLI emits:
 
 * ``metrics.json`` — merged counters/gauges/histogram summaries, keys
-  sorted, values rounded; identical regardless of the order shards are
-  merged in (counters add, gauges max, histogram samples re-sort).
+  sorted, values rounded; identical regardless of the order documents
+  are merged in (counters add, gauges max, histogram samples re-sort).
 * ``trace.json`` — a Chrome trace-event document (``traceEvents`` +
   ``displayTimeUnit``) that loads in ``chrome://tracing`` / Perfetto,
   events sorted on a stable key.
 
 :func:`determinism_view` defines which part of ``metrics.json`` is
 *schedule-invariant*: the same experiment set must produce the same
-view at ``--jobs 1`` and ``--jobs 4``.  Timing histograms, gauges, and
-counter families that legitimately depend on scheduling (checkpoint
-hit/miss patterns, claim traffic, per-worker queue stats, STA reruns in
-per-process stage builds) are excluded; domain counters (experiment
-outcomes, artefact computations, DTA evaluations) are kept.  The CI
-determinism test and ``benchmarks/check_regression.py`` both consume
-this view.
+view at ``--jobs 1`` and ``--jobs 4``.  It keeps only the counter
+families of :data:`SCHEDULE_INVARIANT_COUNTERS` (experiment outcomes,
+artefact computations, DTA evaluations); timing histograms, gauges, and
+every other counter are dropped.  The CI determinism test and
+``benchmarks/check_regression.py`` both consume this view.
 """
 
 from __future__ import annotations
 
-import json
-import re
-from pathlib import Path
 from typing import Any, Iterable
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.recorder import SHARD_VERSION
 
-#: counter/gauge families that legitimately differ between schedules
-#: (``--jobs 1`` vs ``--jobs N``) and are therefore excluded from the
-#: determinism view.  ``span.`` is excluded because worker/prefetch
-#: spans only exist in parallel runs; the domain families (``scheme.``,
-#: ``choke.``, ``etrace.``) are excluded because serial runs memoise
-#: scheme sweeps across experiments while parallel workers rebuild a
-#: fresh context per task, so emission counts differ by schedule even
-#: though the science does not.  The run ledger still records the
-#: domain families, in its separate ``domain`` section.  The
-#: shared-memory hand-off families (``shm.``, ``runner.chips_``,
-#: ``runner.inputs_``, ``pv.populations_``) only exist in fleet runs —
-#: serial runs fabricate the chip locally (``runner.chips_computed``)
-#: while fleets publish a population once and attach per worker — so
-#: the *mechanism* counters are schedule-dependent even though the
-#: chips delivered are bit-identical.
-SCHEDULE_DEPENDENT_PREFIXES = (
-    "checkpoint.",
-    "worker.",
-    "prefetch.",
-    "parallel.",
-    "executor.backoff",
-    "span.",
-    "sta.",
-    "runner.trace",
-    "cli.",
-    "scheme.",
-    "choke.",
-    "etrace.",
-    "obs.",
-    "shm.",
-    "runner.chips_",
-    "runner.inputs_",
-    "pv.populations_",
-    # event emission scales with resubmissions — schedule-dependent by
-    # definition.
-    "events.",
-    # audit.* counters track how many runs/records the audit sink saw in
-    # *this process* — parallel workers re-simulate what a serial run
-    # memoises, so the counts are schedule-dependent (the merged audit
-    # stream itself is deduplicated and schedule-independent).
-    "audit.",
+#: the counter families whose totals depend only on the experiment set,
+#: never on the ``--jobs`` schedule: each is counted once per accepted
+#: outcome or once per artefact computed.  Everything else — spans,
+#: checkpoint and claim traffic, worker and shared-memory mechanics,
+#: and the science counters a serial run memoises across experiments
+#: while parallel workers recompute them per task — is left out.
+SCHEDULE_INVARIANT_COUNTERS = (
+    "dta.",
+    "experiment.",
+    "pv.chips_fabricated",
+    "pv.characterizations",
+    "runner.error_traces_computed",
 )
-
-_SHARD_NAME = re.compile(r"^shard-v(\d+)-(\d+)-\d+\.json$")
-
-
-def scan_shards(directory: str | Path) -> tuple[list[dict[str, Any]], int]:
-    """Shard documents under ``directory`` plus a stale-shard count.
-
-    Three kinds of file are *not* merged:
-
-    * unreadable/truncated shards (a worker died mid-write before its
-      atomic replace) — skipped silently, as before;
-    * shards whose filename lacks the ``shard-v<version>-<pid>-`` form
-      or carries a foreign :data:`SHARD_VERSION` — leftovers from an
-      older telemetry schema in a reused directory;
-    * shards whose document header (version/pid) disagrees with their
-      filename — renamed or cross-run leftovers.
-
-    The latter two are **stale** and counted, so the CLI can surface an
-    ``obs.stale_shards_skipped`` counter instead of silently merging a
-    previous run's numbers into this one.
-    """
-    docs: list[dict[str, Any]] = []
-    stale = 0
-    for path in sorted(Path(directory).glob("shard-*.json")):
-        match = _SHARD_NAME.match(path.name)
-        if match is None or int(match.group(1)) != SHARD_VERSION:
-            stale += 1
-            continue
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, ValueError):
-            continue
-        if (doc.get("version") != SHARD_VERSION
-                or doc.get("pid") != int(match.group(2))):
-            stale += 1
-            continue
-        docs.append(doc)
-    return docs, stale
-
-
-def load_shards(directory: str | Path) -> list[dict[str, Any]]:
-    """:func:`scan_shards` without the stale count (compatibility shim)."""
-    return scan_shards(directory)[0]
 
 
 def merge_shards(
     docs: Iterable[dict[str, Any]],
 ) -> tuple[MetricsRegistry, list[dict[str, Any]], list[dict[str, Any]],
            list[dict[str, Any]]]:
-    """Fold shard documents into (registry, trace events, profiles, processes)."""
+    """Fold recorder documents into (registry, trace events, profiles, processes)."""
     registry = MetricsRegistry()
     events: list[dict[str, Any]] = []
     profiles: list[dict[str, Any]] = []
@@ -132,10 +57,7 @@ def merge_shards(
         registry.merge(doc.get("metrics", {}))
         events.extend(doc.get("trace_events", []))
         profiles.extend(doc.get("profiles", []))
-        processes.append({
-            "pid": doc.get("pid", 0),
-            "process": doc.get("process", "unknown"),
-        })
+        processes.extend(doc.get("processes", []))
     events.sort(key=lambda e: (e.get("ts", 0), e.get("pid", 0),
                                e.get("tid", 0), e.get("name", "")))
     profiles.sort(key=lambda p: (-p.get("duration_s", 0.0), p.get("span", "")))
@@ -176,15 +98,15 @@ def trace_document(
 def determinism_view(metrics_doc: dict[str, Any]) -> dict[str, Any]:
     """The schedule-invariant slice of a metrics document.
 
-    Drops every histogram and gauge (they carry timing values) and every
-    counter in a :data:`SCHEDULE_DEPENDENT_PREFIXES` family; what is left
+    Keeps only the counters of a :data:`SCHEDULE_INVARIANT_COUNTERS`
+    family (histograms and gauges carry timing values); what is left
     must be bit-identical between ``--jobs 1`` and ``--jobs N`` runs of
     the same experiment set.
     """
     counters = {
         name: value
         for name, value in metrics_doc.get("counters", {}).items()
-        if not name.startswith(SCHEDULE_DEPENDENT_PREFIXES)
+        if name.startswith(SCHEDULE_INVARIANT_COUNTERS)
     }
     return {"counters": counters}
 

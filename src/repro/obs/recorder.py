@@ -15,30 +15,26 @@ keeps the stats of the top-N slowest spans.  Nested spans are never
 profiled (``cProfile`` cannot nest), and profiling is strictly opt-in
 because its overhead is far beyond the telemetry budget.
 
-Workers serialise their recorder with :meth:`TelemetryRecorder.flush`
-into per-process shard files; :mod:`repro.obs.merge` folds the shards
-back together.  Timestamps come from ``time.perf_counter`` against a
-module-import epoch — under the fork start method every worker inherits
-the parent's epoch, so all shards share one trace timeline.
+Each pool task records into a fresh recorder and returns its
+:meth:`TelemetryRecorder.snapshot_doc` with the task's result; the
+parent folds every accepted document into its own recorder with
+:meth:`TelemetryRecorder.absorb`.  Timestamps come from
+``time.perf_counter`` against a module-import epoch — under the fork
+start method every worker inherits the parent's epoch, so all documents
+share one trace timeline.
 """
 
 from __future__ import annotations
 
 import cProfile
 import io
-import json
 import os
 import pstats
-import tempfile
 import threading
 import time
-from pathlib import Path
 from typing import Any
 
 from repro.obs.metrics import MetricsRegistry
-
-#: bump when the shard document layout changes.
-SHARD_VERSION = 1
 
 #: common timeline origin for trace timestamps; fork workers inherit it.
 _EPOCH = time.perf_counter()
@@ -100,7 +96,6 @@ class TelemetryRecorder:
         process: str = "main",
         profile: bool = False,
         profile_top: int = 5,
-        shard_dir: str | os.PathLike | None = None,
         trace_id: str = "",
     ) -> None:
         self.metrics = MetricsRegistry()
@@ -111,10 +106,9 @@ class TelemetryRecorder:
         self.pid = os.getpid()
         self.profile = profile
         self.profile_top = profile_top
-        self.shard_dir = Path(shard_dir) if shard_dir is not None else None
         self._profiling = False
-        #: distinguishes shards when a pid is ever reused across pools
-        self._shard_tag = time.time_ns()
+        #: pid -> process name of every worker whose document was absorbed
+        self.workers: dict[int, str] = {}
         self.events.append({
             "name": "process_name", "ph": "M", "ts": 0, "pid": self.pid,
             "tid": 0, "args": {"name": f"{process}-{self.pid}"},
@@ -170,57 +164,39 @@ class TelemetryRecorder:
 
     # ------------------------------------------------------------------
     def snapshot_doc(self) -> dict[str, Any]:
-        """The full shard document (metrics with raw samples included)."""
+        """Everything recorded so far (metrics with raw samples included)."""
+        processes = {**self.workers, self.pid: self.process}
         return {
-            "version": SHARD_VERSION,
             "process": self.process,
             "pid": self.pid,
             "trace_id": self.trace_id,
             "metrics": self.metrics.snapshot(include_values=True),
             "trace_events": list(self.events),
             "profiles": list(self.profiles),
+            "processes": [
+                {"pid": pid, "process": name} for pid, name in processes.items()
+            ],
         }
 
-    def shard_path(self) -> Path:
-        """Shard filename carrying schema version and writer pid.
+    def absorb(self, doc: dict[str, Any]) -> None:
+        """Fold a worker task's :meth:`snapshot_doc` into this recorder.
 
-        Both also live in the document header; ``scan_shards`` treats a
-        mismatch between the two (or an unknown version) as a stale
-        leftover from a previous run in a reused directory and skips it
-        rather than merging it.
+        Every task ships a fresh recorder's document, so a worker that
+        ran several tasks sends its ``process_name`` event each time;
+        only the first one per pid is kept.
         """
-        if self.shard_dir is None:
-            raise ValueError("recorder has no shard directory")
-        return (self.shard_dir
-                / f"shard-v{SHARD_VERSION}-{self.pid}-{self._shard_tag}.json")
-
-    def flush(self) -> Path | None:
-        """Atomically (re)write this process's shard file.
-
-        Called after every worker task; the snapshot is cumulative, so
-        rewriting is idempotent and a crash between tasks loses at most
-        the unfinished task's telemetry.  Failures are swallowed —
-        telemetry must never take an experiment down.
-        """
-        if self.shard_dir is None:
-            return None
-        path = self.shard_path()
-        try:
-            payload = json.dumps(self.snapshot_doc())
-            fd, tmp = tempfile.mkstemp(dir=self.shard_dir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(payload)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except Exception:
-            return None
-        return path
+        self.metrics.merge(doc["metrics"])
+        pid = doc["pid"]
+        seen = pid in self.workers
+        self.workers.setdefault(pid, doc["process"])
+        self.events.extend(
+            event for event in doc["trace_events"]
+            if not (seen and event["ph"] == "M")
+        )
+        if doc["profiles"]:
+            self.profiles.extend(doc["profiles"])
+            self.profiles.sort(key=lambda entry: -entry["duration_s"])
+            del self.profiles[self.profile_top:]
 
 
 def _jsonable(value: Any) -> Any:

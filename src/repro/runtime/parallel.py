@@ -25,6 +25,12 @@ guarantee the serial runtime makes:
   started tasks :data:`CRASH_RETRIES` more chances, and converts repeat
   offenders into ``kind="crash"`` failure records — one murdered
   worker degrades to one failed experiment, never a dead run.
+* **One channel back.**  Every task returns a :class:`TaskResult`: its
+  outcome, its store statistics, and — when the run records them — its
+  own telemetry document and finished audit run blocks.  The parent
+  folds each accepted result in where it receives it
+  (:func:`_absorb`), so a result lost to a broken pool brings nothing
+  back and a re-run task is counted once.
 
 This module owns *where* a batch runs: :func:`run_serial` runs it in
 this process (the CLI's ``--jobs 1``, and the reference every parallel
@@ -44,7 +50,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from repro import obs
 from repro.obs import audit
@@ -96,8 +102,8 @@ class WorkerSpec:
     scratch_dir: str | None = None
     claim_stale_s: float = 600.0
     claim_poll_s: float = 0.05
-    #: parent-managed directory for telemetry shards (None = telemetry off)
-    telemetry_dir: str | None = None
+    #: record telemetry inside workers and return it with each result
+    telemetry: bool = False
     #: capture per-span cProfile stats inside workers
     profile: bool = False
     #: shared-memory catalog of population artefacts (set by run_fleet;
@@ -109,10 +115,22 @@ class WorkerSpec:
     #: run event-stream file (None = events off); fork workers append
     #: to it directly
     events_path: str | None = None
-    #: parent-managed directory for cycle-audit shards (None = audit off)
-    audit_dir: str | None = None
-    #: audit sampling policy text (full / window:S:L / reservoir:K:SEED)
+    #: audit sampling policy text (full / window:S:L / reservoir:K:SEED);
+    #: set = audit on, and workers return their run blocks with each result
     audit_policy: str | None = None
+
+
+class TaskResult(NamedTuple):
+    """What every pool task hands back to the parent."""
+
+    #: the supervised experiment's outcome (None for prefetch tasks)
+    outcome: RunOutcome | None
+    #: the task's checkpoint-store statistics (None without a store)
+    stats: dict[str, int] | None
+    #: the task's telemetry document (None = telemetry off)
+    telemetry: dict[str, Any] | None
+    #: the task's finished audit run blocks (None = audit off)
+    audit_runs: list[dict[str, Any]] | None
 
 
 # ----------------------------------------------------------------------
@@ -124,14 +142,19 @@ def _worker_context(spec: WorkerSpec):
     from repro.runtime.log import configure
 
     configure(spec.verbose)
-    obs.ensure_worker(
-        spec.telemetry_dir, profile=spec.profile,
-        trace_id=spec.trace_id or "",
-    )
+    # A fresh recorder per task: its document holds this task alone, and
+    # whatever a fork inherited from the parent is dropped either way.
+    if spec.telemetry:
+        obs.enable(obs.TelemetryRecorder(
+            process="worker", profile=spec.profile, trace_id=spec.trace_id or "",
+        ))
+    else:
+        obs.disable()
     obs.ensure_worker_events(spec.events_path, trace_id=spec.trace_id or "")
-    audit.ensure_worker(
-        spec.audit_dir, policy=spec.audit_policy, trace_id=spec.trace_id or "",
-    )
+    if spec.audit_policy is not None:
+        audit.enable(audit.AuditRecorder(policy=spec.audit_policy))
+    else:
+        audit.disable()
     store = None
     if spec.checkpoint_dir:
         store = CheckpointStore(
@@ -197,9 +220,20 @@ def _record_queue_wait(submitted_ts: float | None) -> None:
         )
 
 
+def _task_result(ctx, outcome: RunOutcome | None = None) -> TaskResult:
+    recorder = obs.get_recorder()
+    sink = audit.get()
+    return TaskResult(
+        outcome,
+        ctx.store.stats.as_dict() if ctx.store is not None else None,
+        recorder.snapshot_doc() if recorder is not None else None,
+        sink.snapshot_runs() if sink is not None else None,
+    )
+
+
 def _run_experiment_task(
     spec: WorkerSpec, experiment_id: str, submitted_ts: float | None = None
-) -> tuple[RunOutcome, dict[str, int] | None]:
+) -> TaskResult:
     """Run one supervised experiment inside a worker process.
 
     The watchdog clock starts *here* — inside the worker — so time the
@@ -212,54 +246,57 @@ def _run_experiment_task(
     ctx = _worker_context(spec)
     _record_queue_wait(submitted_ts)
     obs.emit("started", experiment=experiment_id, worker=f"pid:{os.getpid()}")
-    try:
-        with obs.span("worker.task", experiment=experiment_id):
-            resolve = _worker_resolve(spec)
-            outcome = run_supervised(
-                experiment_id,
-                resolve(experiment_id),
-                ctx,
-                retries=spec.retries,
-                timeout_s=spec.timeout_s,
-                retry_backoff_s=spec.retry_backoff_s,
-            )
-        stats = ctx.store.stats.as_dict() if ctx.store is not None else None
-        return outcome, stats
-    finally:
-        obs.flush_worker()
-        audit.flush_worker()
+    with obs.span("worker.task", experiment=experiment_id):
+        resolve = _worker_resolve(spec)
+        outcome = run_supervised(
+            experiment_id,
+            resolve(experiment_id),
+            ctx,
+            retries=spec.retries,
+            timeout_s=spec.timeout_s,
+            retry_backoff_s=spec.retry_backoff_s,
+        )
+    return _task_result(ctx, outcome)
 
 
 def _prefetch_task(
     spec: WorkerSpec, kind: str, part: tuple, submitted_ts: float | None = None
-) -> dict[str, int] | None:
+) -> TaskResult:
     """Materialise one artefact into the shared store."""
     ctx = _worker_context(spec)
     _record_queue_wait(submitted_ts)
-    try:
-        with obs.span("worker.prefetch", kind=kind, part=repr(part)):
-            obs.inc("prefetch.tasks")
-            if kind == "chip":
-                chip_kind, seed, corner, buffered = part
-                if chip_kind == "alu":
-                    ctx.alu_chip(seed, corner)
-                else:
-                    ctx.chip(seed, corner, buffered)
-            elif kind == "etrace_batch":
-                benchmark, seeds, corner, buffered = part
-                ctx.error_traces_batch(benchmark, seeds, corner, buffered)
+    with obs.span("worker.prefetch", kind=kind, part=repr(part)):
+        obs.inc("prefetch.tasks")
+        if kind == "chip":
+            chip_kind, seed, corner, buffered = part
+            if chip_kind == "alu":
+                ctx.alu_chip(seed, corner)
             else:
-                benchmark, chip_seed, corner, buffered = part
-                ctx.error_trace(benchmark, chip_seed, corner, buffered)
-        return ctx.store.stats.as_dict() if ctx.store is not None else None
-    finally:
-        obs.flush_worker()
-        audit.flush_worker()
+                ctx.chip(seed, corner, buffered)
+        elif kind == "etrace_batch":
+            benchmark, seeds, corner, buffered = part
+            ctx.error_traces_batch(benchmark, seeds, corner, buffered)
+        else:
+            benchmark, chip_seed, corner, buffered = part
+            ctx.error_trace(benchmark, chip_seed, corner, buffered)
+    return _task_result(ctx)
 
 
 # ----------------------------------------------------------------------
 # orchestrator side
 # ----------------------------------------------------------------------
+
+def _absorb(result: TaskResult, stats: StoreStats) -> None:
+    """Fold one accepted task result into this process's stats and sinks."""
+    if result.stats:
+        stats.merge(result.stats)
+    recorder = obs.get_recorder()
+    if recorder is not None and result.telemetry is not None:
+        recorder.absorb(result.telemetry)
+    sink = audit.get()
+    if sink is not None and result.audit_runs:
+        sink.absorb(result.audit_runs)
+
 
 def _crash_outcome(
     experiment_id: str, spec: WorkerSpec, message: str, attempts: int
@@ -317,14 +354,13 @@ def prefetch_artefacts(
                 ]
                 for future in as_completed(futures):
                     try:
-                        worker_stats = future.result()
+                        result = future.result()
                     except BrokenProcessPool:
                         raise
                     except Exception as exc:
                         logger.warning("prefetch task failed: %s", exc)
                     else:
-                        if worker_stats:
-                            stats.merge(worker_stats)
+                        _absorb(result, stats)
         except BrokenProcessPool:
             logger.warning(
                 "prefetch pool died; experiments will compute artefacts on demand"
@@ -347,7 +383,8 @@ def run_many_parallel(
     incremental output of a parallel run is byte-comparable with a
     serial run's.
 
-    Returns the report plus the workers' merged store statistics.
+    Returns the report plus the workers' merged store statistics; the
+    workers' telemetry and audit blocks land in this process's sinks.
     """
     ids = list(experiment_ids)
     jobs = jobs or default_jobs()
@@ -394,7 +431,7 @@ def run_many_parallel(
                 for future in as_completed(futures):
                     eid = futures[future]
                     try:
-                        outcome, worker_stats = future.result()
+                        result = future.result()
                     except BrokenProcessPool:
                         # every not-yet-finished future fails instantly
                         # once the pool breaks; keep draining so results
@@ -408,9 +445,9 @@ def run_many_parallel(
                             eid, spec, f"{type(exc).__name__}: {exc}",
                             attempts=crashes[eid] + 1,
                         )
-                        worker_stats = None
-                    if worker_stats:
-                        stats.merge(worker_stats)
+                    else:
+                        _absorb(result, stats)
+                        outcome = result.outcome
                     outcomes[eid] = outcome
                     obs.emit(
                         "result", experiment=eid,

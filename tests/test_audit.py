@@ -1,7 +1,7 @@
 """Tests for the cycle-audit flight recorder (:mod:`repro.obs.audit`).
 
 Covers the guarantees the audit layer claims: near-zero cost while
-disabled, seed-deterministic (schedule-independent) sampling, shard
+disabled, seed-deterministic (schedule-independent) sampling, stream
 round-trips whose merge is order-independent and deduplicating,
 ``--jobs 1`` == ``--jobs 2`` streams, Perfetto-loadable exports,
 cycle-level blame on the forced-choke fixture, and reports that stay
@@ -109,7 +109,7 @@ def test_replay_counters_guards():
 
 
 # ----------------------------------------------------------------------
-# shard round-trip and merge determinism
+# stream round-trip and merge determinism
 # ----------------------------------------------------------------------
 
 def test_shard_roundtrip_and_order_independent_merge(tmp_path):
@@ -133,43 +133,6 @@ def test_shard_roundtrip_and_order_independent_merge(tmp_path):
         audit._run_key(r) for r in reverse
     ]
     assert len(forward) == 3
-
-
-def test_worker_shard_scan_skips_stale(tmp_path):
-    sink = audit.enable(audit.AuditRecorder(
-        policy="full", shard_dir=str(tmp_path), trace_id="t-2"
-    ))
-    run = sink.begin_run(
-        kind="scheme", scheme="unit", benchmark="b", corner="NTC",
-        base_cycles=8, clock_period=1000.0, hold_constraint=120.0,
-    )
-    run.decision(3, 2, audit.DEC_DETECT, penalty=5)
-    run.finish()
-    sink.flush()
-    # a stale shard from an older layout version must be skipped
-    (tmp_path / "audit-v0-1-1.npz").write_bytes(b"junk")
-    documents, stale = audit.scan_audit_shards(str(tmp_path))
-    assert len(documents) == 1 and stale == 1
-    merged = audit.merge_audit(documents)
-    assert len(merged) == 1
-    assert audit.replay_counters(merged[0])["flushes"] == 1
-
-
-def test_ensure_worker_lifecycle(tmp_path):
-    inherited = audit.enable(audit.AuditRecorder(policy="full"))
-    inherited.pid += 1  # simulate a fork-inherited parent sink
-    assert audit.ensure_worker(None) is None  # audit off drops it
-    assert audit.get() is None
-
-    fresh = audit.ensure_worker(str(tmp_path), policy="reservoir:8", trace_id="t")
-    assert fresh is not None and fresh.pid != inherited.pid
-    assert audit.ensure_worker(str(tmp_path)) is fresh  # idempotent
-    audit.flush_worker()
-    documents, stale = audit.scan_audit_shards(str(tmp_path))
-    assert documents == [] or documents[0]["runs"] == []  # nothing recorded
-    assert stale == 0
-    audit.disable()
-    audit.flush_worker()  # must be safe with no sink installed
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ JSONL appends (truncated-last-line tolerance and repair), atomic
 retention rewrites, structural diffs over disjoint metric sets, the
 MAD z-score drift detector on synthetic trends, a dashboard that is
 genuinely self-contained HTML, per-scheme domain counters from the
-scheme simulators, stale-shard skipping, the strict regression gate,
+scheme simulators, the strict regression gate,
 and the table renderer's alignment/escaping fixes.
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
-import os
 from html.parser import HTMLParser
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from repro.core.trident.controller import TridentScheme
 from repro.experiments.report import Table
 from repro.obs import dashboard, trends
 from repro.obs.ledger import LEDGER_VERSION, RunLedger, build_record
-from repro.obs.recorder import SHARD_VERSION, TelemetryRecorder
+from repro.obs.recorder import TelemetryRecorder
 from repro.obs.schema import check
 from tests.util import synthetic_error_trace
 
@@ -334,37 +333,6 @@ def test_schemes_are_silent_when_telemetry_off():
     result = RazorScheme().simulate(trace)
     assert result.errors_total == 1
     assert not obs.enabled()
-
-
-# ----------------------------------------------------------------------
-# stale shard detection (reused telemetry dirs)
-# ----------------------------------------------------------------------
-
-
-def test_scan_shards_skips_stale_and_counts_them(tmp_path):
-    recorder = TelemetryRecorder(shard_dir=tmp_path)
-    recorder.metrics.inc("experiment.ok")
-    assert recorder.flush() is not None
-    assert recorder.shard_path().name.startswith(f"shard-v{SHARD_VERSION}-")
-
-    doc = recorder.snapshot_doc()
-    # legacy unversioned filename from an older schema
-    (tmp_path / "shard-4242-1.json").write_text(json.dumps(doc))
-    # foreign schema version in the filename
-    (tmp_path / f"shard-v{SHARD_VERSION + 1}-77-1.json").write_text(json.dumps(doc))
-    # filename/header pid mismatch (leftover renamed across runs)
-    mismatched = dict(doc, pid=doc["pid"] + 1)
-    (tmp_path / f"shard-v{SHARD_VERSION}-{doc['pid']}-2.json").write_text(
-        json.dumps(mismatched)
-    )
-    # corrupt shard: skipped silently, never counted as stale
-    (tmp_path / f"shard-v{SHARD_VERSION}-55-3.json").write_text("{trunc")
-
-    docs, stale = obs.scan_shards(tmp_path)
-    assert len(docs) == 1 and docs[0]["pid"] == os.getpid()
-    assert stale == 3
-    # the compatibility shim drops the count but not the filtering
-    assert len(obs.load_shards(tmp_path)) == 1
 
 
 # ----------------------------------------------------------------------

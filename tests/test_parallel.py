@@ -265,6 +265,29 @@ def test_cli_chaos_kill_exits_nonzero_and_isolates(tmp_path, capsys):
     assert "CRASH" in out and "WorkerCrash" in out
 
 
+def test_cli_chaos_kill_counts_each_accepted_outcome_once(tmp_path, capsys):
+    # A task that finishes while a co-resident kill breaks the pool loses
+    # its result and is re-run; only the accepted run may be counted.
+    metrics = tmp_path / "metrics.json"
+    code, report = run_cli(
+        ["fig3_4", "tab3_ovh", "tab4_ovh", "--fast", "--cycles", "200",
+         "--jobs", "2", "--chaos-kill", "fig3_4",
+         "--metrics-out", str(metrics)],
+        tmp_path, "killed",
+    )
+    assert code == 1
+    counters = json.loads(metrics.read_text())["counters"]
+    ok_outcomes = len(json.loads(report))
+    assert ok_outcomes == 2
+    assert counters["experiment.ok"] == ok_outcomes
+    outcome_ok = {
+        name: value for name, value in counters.items()
+        if name.startswith("experiment.outcome{") and "status=ok" in name
+    }
+    assert len(outcome_ok) == ok_outcomes
+    assert all(value == 1 for value in outcome_ok.values()), outcome_ok
+
+
 def test_cli_chaos_kill_requires_parallel_jobs(capsys):
     from repro.experiments.__main__ import main
 
@@ -281,6 +304,45 @@ def test_chaos_fail_propagates_into_workers(tmp_path):
     failure = report.outcomes[0].failure
     assert failure.error_type == "InjectedFailure"
     assert "chaos-injected" in failure.message
+
+
+def test_task_returns_only_its_own_telemetry_and_audit(tmp_path):
+    from repro import obs
+    from repro.obs import audit
+    from repro.runtime.parallel import _run_experiment_task
+
+    # a parent's history that an in-process (or forked) task must not carry
+    parent = obs.enable(obs.TelemetryRecorder(process="main"))
+    parent.metrics.inc("experiment.ok", 5)
+    parent_sink = audit.enable(audit.AuditRecorder(policy="full"))
+    parent_sink.begin_run(
+        kind="scheme", scheme="parent", benchmark="b", corner="NTC",
+        base_cycles=8, clock_period=1000.0, hold_constraint=120.0,
+    ).finish()
+    try:
+        spec = tiny_spec(tmp_path, telemetry=True, audit_policy="full")
+        result = _run_experiment_task(spec, "fig3_4")
+        assert result.outcome.ok and result.stats is not None
+        counters = result.telemetry["metrics"]["counters"]
+        assert counters["experiment.ok"] == 1
+        assert counters["experiment.outcome{experiment=fig3_4,status=ok}"] == 1
+        assert result.telemetry["processes"] == [
+            {"pid": os.getpid(), "process": "worker"}
+        ]
+        assert result.audit_runs
+        assert all(run["scheme"] != "parent" for run in result.audit_runs)
+        assert parent.metrics.counters["experiment.ok"] == 5
+
+        # telemetry and audit off: nothing returned, nothing inherited kept
+        obs.enable(parent)
+        audit.enable(parent_sink)
+        result = _run_experiment_task(tiny_spec(tmp_path), "tab3_ovh")
+        assert result.outcome.ok
+        assert result.telemetry is None and result.audit_runs is None
+        assert obs.get_recorder() is None and audit.get() is None
+    finally:
+        obs.disable()
+        audit.disable()
 
 
 # ----------------------------------------------------------------------
