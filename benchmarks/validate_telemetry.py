@@ -35,24 +35,6 @@ def validate_file(document_path: str, schema_name: str) -> None:
     check(document, schema, label=document_path)
 
 
-def validate_events(events_path: str) -> int:
-    """Validate every parseable event line; returns the event count.
-
-    Uses the same tolerant replay as the runtime (a truncated tail from
-    a crashed writer is skipped, not fatal) — the schema gate is about
-    the events that *did* make it to disk intact.
-    """
-    from repro.obs.events import read_events
-
-    schema = json.loads((SCHEMA_DIR / "events.schema.json").read_text())
-    events = read_events(events_path)
-    for index, event in enumerate(events):
-        check(event, schema, label=f"{events_path}:event[{index}]")
-    if not events:
-        raise ValueError("no parseable events (empty or corrupt stream)")
-    return len(events)
-
-
 def validate_ledger(ledger_dir: str) -> int:
     """Validate every record of a run ledger; returns the record count."""
     from repro.obs.ledger import RunLedger
@@ -95,16 +77,13 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", help="trace.json to validate")
     parser.add_argument("--ledger", metavar="DIR",
                         help="run-ledger directory whose records to validate")
-    parser.add_argument("--events", metavar="PATH",
-                        help="events.jsonl whose lines to validate")
     parser.add_argument("--audit", metavar="PATH",
                         help="packed audit stream (.npz from --audit-out) "
                         "whose summary to validate")
     args = parser.parse_args(argv)
-    if not (args.metrics or args.trace or args.ledger or args.events
-            or args.audit):
+    if not (args.metrics or args.trace or args.ledger or args.audit):
         parser.error("nothing to validate: pass --metrics, --trace, "
-                     "--ledger, --events and/or --audit")
+                     "--ledger and/or --audit")
 
     failures = 0
     for document_path, schema_name in (
@@ -129,15 +108,6 @@ def main(argv=None) -> int:
         else:
             print(f"ok   {args.ledger}: {count} ledger record(s) conform "
                   "to ledger.schema.json")
-    if args.events:
-        try:
-            count = validate_events(args.events)
-        except (OSError, ValueError) as exc:
-            print(f"FAIL {args.events}: {exc}", file=sys.stderr)
-            failures += 1
-        else:
-            print(f"ok   {args.events}: {count} event(s) conform "
-                  "to events.schema.json")
     if args.audit:
         try:
             count = validate_audit(args.audit)

@@ -31,12 +31,13 @@ Examples::
     python -m repro.experiments ledger list --ledger-dir .ledger
     python -m repro.experiments ledger html --ledger-dir .ledger
 
-With ``--metrics-out`` / ``--trace-out`` / ``--profile`` the run is
-instrumented end to end (see :mod:`repro.obs`): counters, gauges and
-span histograms merge across workers into ``metrics.json``, every phase
-becomes a Chrome trace event viewable in Perfetto (``trace.json``), and
-``--profile`` captures cProfile stats for the slowest spans.  A summary
-table of the hottest spans prints at the end of the run.
+With ``--metrics-out`` / ``--trace-out`` the run is instrumented end
+to end (see :mod:`repro.obs`): counters, gauges and span histograms
+merge across workers into ``metrics.json``, and every phase becomes a
+Chrome trace event viewable in Perfetto (``trace.json``) -- each pool
+task is a ``worker.task`` span on its worker's pid, so the trace shows
+which worker ran what.  A summary table of the hottest spans prints at
+the end of the run.
 
 With ``--ledger-dir`` the merged telemetry of the run is additionally
 distilled into one append-only run-ledger record (git revision, config
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import shutil
 import sys
 import tempfile
@@ -179,27 +179,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write a Chrome trace-event JSON (chrome://tracing / Perfetto)",
     )
     telemetry.add_argument(
-        "--profile",
-        metavar="PATH",
-        help="capture cProfile stats per span; write the slowest spans here",
-    )
-    telemetry.add_argument(
-        "--profile-top",
-        type=int,
-        default=5,
-        metavar="N",
-        help="how many slowest spans keep their profiles (default: 5)",
-    )
-    telemetry.add_argument(
         "--ledger-dir",
         metavar="DIR",
         help="append one run-ledger record here (see 'ledger --help')",
-    )
-    telemetry.add_argument(
-        "--events-out",
-        metavar="PATH",
-        help="append the structured lifecycle event stream (JSONL) here; "
-        "tail it live with the 'progress' subcommand",
     )
     telemetry.add_argument(
         "--audit-out",
@@ -228,10 +210,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.qa.cli import qa_main
 
         return qa_main(argv[1:])
-    if argv and argv[0] == "progress":
-        from repro.experiments.progress_cli import progress_main
-
-        return progress_main(argv[1:])
     if argv and argv[0] == "audit":
         from repro.experiments.audit_cli import audit_main
 
@@ -260,8 +238,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--retry-backoff-s must be >= 0")
     if args.claim_stale_s <= 0:
         parser.error("--claim-stale-s must be positive")
-    if args.profile_top < 1:
-        parser.error("--profile-top must be >= 1")
     jobs = args.jobs or default_jobs()
 
     ids = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
@@ -281,10 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     # installed before the store so checkpoint counters are captured.
     # --ledger-dir counts: a ledger record is built from the merged
     # metrics document, so recording implies instrumenting.
-    telemetry_on = bool(
-        args.metrics_out or args.trace_out or args.profile or args.ledger_dir
-    )
-    events_on = bool(args.events_out)
+    telemetry_on = bool(args.metrics_out or args.trace_out or args.ledger_dir)
     # The cycle audit is its own channel: it never implies telemetry and
     # never feeds back into the report (byte-identity audit on/off).
     audit_on = bool(args.audit_out)
@@ -295,24 +268,13 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     # Every instrumented run gets a trace id: it stamps recorder spans,
-    # rides the WorkerSpec into every worker, tags each structured event,
-    # and lands in the ledger record — one key linking all the run's
+    # rides the WorkerSpec into every worker, and lands in the ledger
+    # record and the audit stream — one key linking all the run's
     # artefacts.
-    trace_id = obs.new_trace_id() if (telemetry_on or events_on or audit_on) else ""
+    trace_id = obs.new_trace_id() if (telemetry_on or audit_on) else ""
     recorder = None
     if telemetry_on:
-        recorder = obs.enable(obs.TelemetryRecorder(
-            process="main",
-            profile=bool(args.profile),
-            profile_top=args.profile_top,
-            trace_id=trace_id,
-        ))
-    if events_on:
-        try:  # a fresh run starts a fresh stream (the log appends)
-            os.unlink(args.events_out)
-        except OSError:
-            pass
-        obs.enable_events(obs.EventLog(args.events_out, trace_id=trace_id))
+        recorder = obs.enable(obs.TelemetryRecorder(process="main", trace_id=trace_id))
     if audit_on:
         # Workers return their run blocks with each result and this sink
         # absorbs them; the post-run merge deduplicates and writes the
@@ -360,13 +322,10 @@ def main(argv: list[str] | None = None) -> int:
         verbose=args.verbose,
         claim_stale_s=args.claim_stale_s,
         telemetry=telemetry_on,
-        profile=bool(args.profile),
         trace_id=trace_id or None,
-        events_path=args.events_out if events_on else None,
         audit_policy=audit_policy if audit_on else None,
     )
     logger.info("running %d experiment(s) with --jobs %d", len(ids), jobs)
-    obs.emit("run_start", jobs=jobs, experiments=len(ids))
     try:
         if jobs == 1:
             report, worker_stats = run_serial(ids, spec, on_outcome=report_outcome)
@@ -377,12 +336,6 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if ephemeral_dir is not None:
             shutil.rmtree(ephemeral_dir, ignore_errors=True)
-    obs.emit(
-        "run_end",
-        status="ok" if report.ok else "failed",
-        ok=len(report.outcomes) - len(report.failures),
-        total=len(report.outcomes),
-    )
     if store is not None:
         store.stats.merge(worker_stats)
 
@@ -390,18 +343,10 @@ def main(argv: list[str] | None = None) -> int:
     # the parent's recorder already holds every accepted worker result's.
     metrics_doc = None
     trace_doc = None
-    profiles: list = []
-    if telemetry_on and recorder is not None:
-        registry, events, profiles, processes = obs.merge_shards(
-            [recorder.snapshot_doc()]
-        )
-        metrics_doc = obs.metrics_document(registry, processes)
-        trace_doc = obs.trace_document(events, trace_id=trace_id)
+    if recorder is not None:
+        metrics_doc = obs.metrics_document(recorder.metrics, recorder.processes())
+        trace_doc = obs.trace_document(recorder.events, trace_id=trace_id)
         obs.disable()
-    if events_on:
-        count = obs.get_event_log().count if obs.get_event_log() else 0
-        obs.disable_events()
-        print(f"events written to {args.events_out} ({count} event(s))")
 
     # The audit sink likewise holds the parent's and the workers' runs:
     # content-digest dedup makes one deterministic stream of them.
@@ -446,9 +391,6 @@ def main(argv: list[str] | None = None) -> int:
         (args.trace_out,
          json.dumps(trace_doc) + "\n" if trace_doc is not None else None,
          "trace"),
-        (args.profile,
-         obs.profile_report(profiles, args.profile_top) if telemetry_on else None,
-         "profile"),
     ):
         if not path or payload is None:
             continue

@@ -59,10 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     html = sub.add_parser("html", help="render the self-contained dashboard")
     html.add_argument("--ledger-dir", required=True)
     html.add_argument("--out", default="dashboard.html")
-    html.add_argument("--trace", help="trace.json path to reference for drill-down")
     html.add_argument(
-        "--events",
-        help="events.jsonl from a --jobs N run; renders the fleet-lane timeline",
+        "--trace", help="trace.json to reference for drill-down (per-worker lanes in Perfetto)"
     )
     return parser
 
@@ -156,9 +154,7 @@ def _cmd_html(args: argparse.Namespace) -> int:
     from repro.experiments.reportio import atomic_write_text
 
     records = RunLedger(args.ledger_dir).records()
-    payload = dashboard.render_dashboard(
-        records, trace_path=args.trace, events_path=args.events
-    )
+    payload = dashboard.render_dashboard(records, trace_path=args.trace)
     atomic_write_text(args.out, payload)
     print(f"dashboard written to {args.out} "
           f"({len(records)} run(s), {len(payload)} bytes)")

@@ -1,4 +1,4 @@
-"""Experiment telemetry: metrics, phase tracing, and profiling hooks.
+"""Experiment telemetry: metrics and phase tracing.
 
 The instrumented layers (``pv``, ``timing``, ``runtime``,
 ``experiments``) call the module-level helpers below unconditionally;
@@ -8,16 +8,18 @@ whether anything is recorded depends on the process-global recorder:
   and ``inc``/``observe``/``gauge`` return after one ``None`` check —
   instrumented code paths cost ~nothing, guarded by the overhead tests
   in ``tests/test_obs.py``.
-* **On** (the CLI's ``--metrics-out`` / ``--trace-out`` / ``--profile``,
+* **On** (the CLI's ``--metrics-out`` / ``--trace-out`` / ``--ledger-dir``,
   or :func:`enable` in tests).  A :class:`TelemetryRecorder` accumulates
-  counters/gauges/histograms, emits Chrome trace events per span, and —
-  with profiling on — captures ``cProfile`` stats for the slowest spans.
+  counters/gauges/histograms and emits one Chrome trace event per span.
 
 In parallel runs each pool task installs a fresh recorder and returns
 its document with the task's result; the parent folds every accepted
 document into its own recorder
 (:meth:`TelemetryRecorder.absorb`), and :mod:`repro.obs.merge` renders
-that one recorder as ``metrics.json`` + ``trace.json``.
+that one recorder as ``metrics.json`` + ``trace.json``.  The trace is
+the one record of what ran, on which process, and for how long: each
+pool task is a ``worker.task`` / ``worker.prefetch`` span on its
+worker's pid.
 
 Typical instrumentation::
 
@@ -35,14 +37,6 @@ import os
 from typing import Any
 
 from repro.obs.dashboard import render_dashboard
-from repro.obs.events import (
-    EVENT_KINDS,
-    EVENTS_VERSION,
-    EventLog,
-    format_event,
-    iter_events,
-    read_events,
-)
 from repro.obs.ledger import (
     LEDGER_FILENAME,
     LEDGER_VERSION,
@@ -53,9 +47,7 @@ from repro.obs.ledger import (
 from repro.obs.merge import (
     SCHEDULE_INVARIANT_COUNTERS,
     determinism_view,
-    merge_shards,
     metrics_document,
-    profile_report,
     summary_table,
     trace_document,
 )
@@ -69,9 +61,6 @@ from repro.obs.recorder import (
 from repro.obs.trends import detect_drift, diff_records, flatten, history, robust_z
 
 __all__ = [
-    "EVENT_KINDS",
-    "EVENTS_VERSION",
-    "EventLog",
     "Histogram",
     "LEDGER_FILENAME",
     "LEDGER_VERSION",
@@ -86,31 +75,19 @@ __all__ = [
     "detect_drift",
     "diff_records",
     "disable",
-    "disable_events",
-    "emit",
     "enable",
-    "enable_events",
     "enabled",
-    "ensure_worker_events",
-    "events_enabled",
     "flatten",
-    "format_event",
     "gauge",
-    "get_event_log",
     "get_recorder",
     "headline_metrics",
     "history",
     "inc",
-    "iter_events",
     "labelled",
-    "merge_shards",
     "metrics_document",
     "new_trace_id",
     "observe",
-    "profile_report",
     "quantile",
-    "read_events",
-    "recent_events",
     "render_dashboard",
     "robust_z",
     "span",
@@ -120,9 +97,6 @@ __all__ = [
 
 #: the process-global recorder; ``None`` means telemetry is off.
 _recorder: TelemetryRecorder | None = None
-
-#: the process-global event log; ``None`` means the event stream is off.
-_events: EventLog | None = None
 
 
 def enable(recorder: TelemetryRecorder) -> TelemetryRecorder:
@@ -151,8 +125,8 @@ def new_trace_id() -> str:
 
     The CLI stamps it into the :class:`~repro.runtime.parallel.WorkerSpec`,
     workers stamp it into every span they record, and the trace document
-    carries it as metadata — one id links the report, the ledger record,
-    the event stream, and the trace.
+    carries it as metadata — one id links the ledger record, the audit
+    stream, and the trace.
     """
     return os.urandom(16).hex()
 
@@ -185,62 +159,3 @@ def gauge(name: str, value: float, **labels: Any) -> None:
     recorder = _recorder
     if recorder is not None:
         recorder.metrics.gauge(name, value, **labels)
-
-
-def emit(kind: str, **fields: Any) -> None:
-    """Record one lifecycle event (no-op while the event stream is off)."""
-    log = _events
-    if log is not None:
-        log.emit(kind, **fields)
-
-
-# ----------------------------------------------------------------------
-# event-stream lifecycle
-# ----------------------------------------------------------------------
-
-def enable_events(log: EventLog) -> EventLog:
-    """Install ``log`` as this process's event sink."""
-    global _events
-    _events = log
-    return log
-
-
-def disable_events() -> None:
-    global _events
-    if _events is not None:
-        _events.close()
-    _events = None
-
-
-def events_enabled() -> bool:
-    return _events is not None
-
-
-def get_event_log() -> EventLog | None:
-    return _events
-
-
-def recent_events(n: int = 16) -> tuple[str, ...]:
-    """The flight recorder's last ``n`` events (crash context)."""
-    log = _events
-    if log is None:
-        return ()
-    return tuple(log.recent(n))
-
-
-def ensure_worker_events(path: str | None, trace_id: str = "") -> EventLog | None:
-    """Point a worker process's event sink at the run's event file.
-
-    Fork workers inherit the parent's :class:`EventLog` (same path, a
-    shared ``O_APPEND`` descriptor — whole-line appends interleave
-    safely), so an inherited log targeting the same file is kept.
-    ``path=None`` (events off) drops any inherited log.
-    """
-    global _events
-    if path is None:
-        _events = None
-        return None
-    log = _events
-    if log is not None and log.path == str(path):
-        return log
-    return enable_events(EventLog(path, trace_id=trace_id))

@@ -97,11 +97,6 @@ td.metric { color: var(--ink-2); font-family: ui-monospace, monospace; font-size
   stroke-linecap: round;
 }
 .spark .dot { fill: var(--series); stroke: var(--surface); stroke-width: 2; }
-.lane line { stroke: var(--grid); stroke-width: 1; }
-.lane .bar { fill: var(--series); rx: 2; }
-.lane .bar.bad { fill: var(--bad); }
-.lane .bar.open { fill: var(--muted); }
-.lane .mark { fill: var(--ink-2); font-size: 11px; text-anchor: middle; }
 .drift { color: var(--bad); font-weight: 600; }
 .footer { color: var(--muted); font-size: 12px; margin-top: 28px; }
 a { color: var(--series); }
@@ -174,93 +169,6 @@ def _scheme_breakdown(domain: dict[str, float]) -> list[tuple[str, dict[str, flo
     return sorted(per_scheme.items())
 
 
-#: fleet-lane timeline geometry (px).
-LANE_W, LANE_ROW_H, LANE_PAD = 720, 24, 6
-
-#: event kinds drawn as markers (not bars) on a fleet lane.
-_LANE_MARKS = {"crash": "✕", "resubmit": "↻"}
-
-
-def _fleet_lanes(events: list[dict[str, Any]]) -> str:
-    """Per-worker task-interval timeline from one run's event stream.
-
-    Each worker gets a lane; a bar spans started→result for every task
-    it ran (red if the task ended in a crash), with crash / resubmit
-    markers overlaid.  Pure inline SVG with native
-    ``<title>`` tooltips, like the sparklines.
-    """
-    stamps = [float(e.get("ts", 0.0)) for e in events if e.get("ts")]
-    if not stamps:
-        return ""
-    t0, t1 = min(stamps), max(stamps)
-    span = (t1 - t0) or 1.0
-
-    def x_of(ts: float) -> float:
-        return LANE_PAD + (ts - t0) / span * (LANE_W - 2 * LANE_PAD)
-
-    lanes: dict[str, dict[str, Any]] = {}
-    open_tasks: dict[tuple[str, str], float] = {}
-    for event in events:
-        label = event.get("worker")
-        if not label:
-            continue
-        lane = lanes.setdefault(label, {"bars": [], "marks": []})
-        kind = event.get("kind")
-        ts = float(event.get("ts", 0.0))
-        eid = event.get("experiment") or ""
-        if kind == "started" and (label, eid) not in open_tasks:
-            open_tasks[(label, eid)] = ts
-        elif kind in ("result", "crash") and (label, eid) in open_tasks:
-            start = open_tasks.pop((label, eid))
-            status = str(event.get("status", kind))
-            lane["bars"].append((start, ts, eid, status))
-        if kind in _LANE_MARKS:
-            lane["marks"].append((ts, kind, eid))
-    for (label, eid), start in open_tasks.items():  # still running at EOF
-        lanes[label]["bars"].append((start, t1, eid, "running"))
-
-    rows = []
-    for label in sorted(lanes):
-        lane = lanes[label]
-        h = LANE_ROW_H
-        bars = []
-        for start, end, eid, status in lane["bars"]:
-            x, x2 = x_of(start), x_of(end)
-            bad = status in ("crash", "timeout", "exception")
-            cls = "bad" if bad else ("open" if status == "running" else "")
-            title = html.escape(f"{eid}: {status} ({end - start:.2f}s)")
-            bars.append(
-                f'<rect class="bar {cls}" x="{x:.1f}" y="4" '
-                f'width="{max(x2 - x, 2.0):.1f}" height="{h - 8}">'
-                f"<title>{title}</title></rect>"
-            )
-        marks = []
-        for ts, kind, eid in lane["marks"]:
-            title = html.escape(f"{kind} {eid}".strip())
-            marks.append(
-                f'<text class="mark" x="{x_of(ts):.1f}" y="{h - 7}">'
-                f"{_LANE_MARKS[kind]}<title>{title}</title></text>"
-            )
-        rows.append(
-            f'<tr><td class="metric">{html.escape(label)}</td>'
-            f'<td><svg class="lane" width="{LANE_W}" height="{h}" role="img" '
-            f'aria-label="{html.escape(label)} timeline">'
-            f'<line x1="{LANE_PAD}" y1="{h - 4}" x2="{LANE_W - LANE_PAD}" '
-            f'y2="{h - 4}" />{"".join(bars)}{"".join(marks)}</svg></td></tr>'
-        )
-    counts: dict[str, int] = {}
-    for event in events:
-        kind = str(event.get("kind", "?"))
-        counts[kind] = counts.get(kind, 0) + 1
-    legend = " · ".join(f"{k}: {counts[k]}" for k in sorted(counts))
-    return (
-        f"<h2>Fleet lanes ({span:.1f} s, {len(lanes)} worker(s))</h2>"
-        f"<table><thead><tr><th>Worker</th><th>Timeline</th></tr></thead>"
-        f"<tbody>{''.join(rows) or _EMPTY_ROW}</tbody></table>"
-        f'<p class="sub">{html.escape(legend)}</p>'
-    )
-
-
 #: audit decision-timeline columns: (rollup key, column header).
 _AUDIT_COLS = (
     ("detect", "detect"),
@@ -312,7 +220,6 @@ def render_dashboard(
     records: list[dict[str, Any]],
     trace_path: str | None = None,
     max_series: int = 200,
-    events_path: str | None = None,
 ) -> str:
     """Render the full dashboard HTML for the given ledger records."""
     latest = records[-1] if records else {}
@@ -378,16 +285,11 @@ def render_dashboard(
     trace_note = (
         f'<p class="sub">Trace: open <a href="https://ui.perfetto.dev">'
         f"ui.perfetto.dev</a> and load <code>{html.escape(trace_path)}</code> "
-        f"for span-level drill-down.</p>"
+        f"for span-level drill-down: one lane per worker process, one "
+        f"<code>worker.task</code> span per experiment it ran.</p>"
         if trace_path
         else ""
     )
-
-    fleet_section = ""
-    if events_path:
-        from repro.obs.events import read_events
-
-        fleet_section = _fleet_lanes(read_events(events_path))
 
     sections = [
         "<!DOCTYPE html>",
@@ -416,7 +318,6 @@ def render_dashboard(
         f"<table><thead><tr><th>Scheme</th>{scheme_head}</tr></thead>"
         f'<tbody>{"".join(scheme_rows) or _EMPTY_ROW}</tbody></table>',
         _audit_panel(latest.get("audit", {})),
-        fleet_section,
         trace_note,
         '<p class="footer">Generated by <code>python -m repro.experiments '
         "ledger html</code> · self-contained, no external resources.</p>",

@@ -1,31 +1,34 @@
-"""Telemetry document merging and rendering.
+"""Telemetry rendering: the recorder's ``metrics.json`` and ``trace.json``.
 
 A telemetry run has one in-memory recorder, in the parent.  Pool
 workers return a telemetry document with each task's result and the
 parent folds every accepted one into that recorder
 (:meth:`~repro.obs.recorder.TelemetryRecorder.absorb`), so a result
 lost to a broken pool takes its counters with it.  This module renders
-recorder documents into the two artefacts the CLI emits:
+that recorder into the two artefacts the CLI emits:
 
 * ``metrics.json`` — merged counters/gauges/histogram summaries, keys
   sorted, values rounded; identical regardless of the order documents
-  are merged in (counters add, gauges max, histogram samples re-sort).
+  were absorbed in (counters add, gauges max, histogram samples
+  re-sort), plus the contributing processes sorted by (name, pid).
 * ``trace.json`` — a Chrome trace-event document (``traceEvents`` +
   ``displayTimeUnit``) that loads in ``chrome://tracing`` / Perfetto,
-  events sorted on a stable key.
+  events sorted on a stable key.  Each pool task is one
+  ``worker.task`` / ``worker.prefetch`` span on its worker's pid, so
+  the trace alone answers which worker ran what, and for how long.
 
 :func:`determinism_view` defines which part of ``metrics.json`` is
 *schedule-invariant*: the same experiment set must produce the same
 view at ``--jobs 1`` and ``--jobs 4``.  It keeps only the counter
 families of :data:`SCHEDULE_INVARIANT_COUNTERS` (experiment outcomes,
-artefact computations, DTA evaluations); timing histograms, gauges, and
+artefact computations, DTA chip-cycles); timing histograms, gauges, and
 every other counter are dropped.  The CI determinism test and
 ``benchmarks/check_regression.py`` both consume this view.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -34,35 +37,20 @@ from repro.obs.metrics import MetricsRegistry
 #: outcome or once per artefact computed.  Everything else — spans,
 #: checkpoint and claim traffic, worker and shared-memory mechanics,
 #: and the science counters a serial run memoises across experiments
-#: while parallel workers recompute them per task — is left out.
+#: while parallel workers recompute them per task — is left out.  So
+#: are the DTA kernel-call counters (``dta.evaluations``,
+#: ``dta.cycles_analyzed``): the fleet prefetch times every chip that
+#: shares (benchmark, corner, buffered) in one batch-kernel call where
+#: a serial run makes one call per chip, so only the chip·cycle and
+#: single-transition totals are schedule-free.
 SCHEDULE_INVARIANT_COUNTERS = (
-    "dta.",
+    "dta.chip_cycles",
+    "dta.single_transitions",
     "experiment.",
     "pv.chips_fabricated",
     "pv.characterizations",
     "runner.error_traces_computed",
 )
-
-
-def merge_shards(
-    docs: Iterable[dict[str, Any]],
-) -> tuple[MetricsRegistry, list[dict[str, Any]], list[dict[str, Any]],
-           list[dict[str, Any]]]:
-    """Fold recorder documents into (registry, trace events, profiles, processes)."""
-    registry = MetricsRegistry()
-    events: list[dict[str, Any]] = []
-    profiles: list[dict[str, Any]] = []
-    processes: list[dict[str, Any]] = []
-    for doc in docs:
-        registry.merge(doc.get("metrics", {}))
-        events.extend(doc.get("trace_events", []))
-        profiles.extend(doc.get("profiles", []))
-        processes.extend(doc.get("processes", []))
-    events.sort(key=lambda e: (e.get("ts", 0), e.get("pid", 0),
-                               e.get("tid", 0), e.get("name", "")))
-    profiles.sort(key=lambda p: (-p.get("duration_s", 0.0), p.get("span", "")))
-    processes.sort(key=lambda p: (p["process"], p["pid"]))
-    return registry, events, profiles, processes
 
 
 def metrics_document(
@@ -75,7 +63,7 @@ def metrics_document(
         "counters": snapshot["counters"],
         "gauges": snapshot["gauges"],
         "histograms": snapshot["histograms"],
-        "processes": processes or [],
+        "processes": sorted(processes or [], key=lambda p: (p["process"], p["pid"])),
     }
 
 
@@ -87,8 +75,11 @@ def trace_document(
     ``trace_id`` (when the run has one) rides in the top-level
     ``metadata`` object — Perfetto ignores unknown top-level keys, and
     it lets tooling link a trace file back to its ledger record and
-    event stream.
+    audit stream.
     """
+    events = sorted(
+        events, key=lambda e: (e.get("ts", 0), e.get("pid", 0), e.get("tid", 0), e.get("name", ""))
+    )
     doc: dict[str, Any] = {"traceEvents": events, "displayTimeUnit": "ms"}
     if trace_id:
         doc["metadata"] = {"trace_id": trace_id}
@@ -135,17 +126,3 @@ def summary_table(metrics_doc: dict[str, Any], top: int = 12) -> str:
     if len(rows) > top:
         lines.append(f"  ... and {len(rows) - top} more span(s)")
     return "\n".join(lines)
-
-
-def profile_report(profiles: list[dict[str, Any]], top: int = 5) -> str:
-    """Plain-text report of the slowest profiled spans."""
-    if not profiles:
-        return "no spans were profiled (was --profile set and any span run?)\n"
-    sections = []
-    for rank, entry in enumerate(profiles[:top], start=1):
-        sections.append(
-            f"== profile {rank}/{min(top, len(profiles))}: "
-            f"{entry['span']} ({entry['duration_s']:.3f}s) ==\n"
-            f"{entry['stats']}"
-        )
-    return "\n".join(sections)

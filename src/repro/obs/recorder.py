@@ -1,4 +1,4 @@
-"""Span recording, Chrome trace events, and opt-in span profiling.
+"""Span recording and Chrome trace events.
 
 A :class:`TelemetryRecorder` is the live end of the telemetry
 subsystem: instrumented code opens spans through the module-level
@@ -9,11 +9,8 @@ helpers in :mod:`repro.obs`, and each completed span becomes
 * one sample in the ``span.<name>.s`` histogram, and
 * one increment of the ``span.count{span=<name>}`` counter.
 
-When profiling is enabled (the CLI's ``--profile``), the recorder
-additionally wraps each *outermost* span in a ``cProfile`` session and
-keeps the stats of the top-N slowest spans.  Nested spans are never
-profiled (``cProfile`` cannot nest), and profiling is strictly opt-in
-because its overhead is far beyond the telemetry budget.
+Spans are the run's one timing record: they say what ran, on which
+process, and for how long.
 
 Each pool task records into a fresh recorder and returns its
 :meth:`TelemetryRecorder.snapshot_doc` with the task's result; the
@@ -26,10 +23,7 @@ share one trace timeline.
 
 from __future__ import annotations
 
-import cProfile
-import io
 import os
-import pstats
 import threading
 import time
 from typing import Any
@@ -58,7 +52,7 @@ NULL_SPAN = NullSpan()
 class Span:
     """One live span; records a trace event + duration sample on exit."""
 
-    __slots__ = ("_recorder", "name", "args", "_start", "_profile")
+    __slots__ = ("_recorder", "name", "args", "_start")
 
     def __init__(self, recorder: "TelemetryRecorder", name: str,
                  args: dict[str, Any]) -> None:
@@ -66,47 +60,26 @@ class Span:
         self.name = name
         self.args = args
         self._start = 0.0
-        self._profile: cProfile.Profile | None = None
 
     def __enter__(self) -> "Span":
-        recorder = self._recorder
-        if recorder.profile and not recorder._profiling:
-            recorder._profiling = True
-            self._profile = cProfile.Profile()
-            self._profile.enable()
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc_info: Any) -> bool:
         end = time.perf_counter()
-        if self._profile is not None:
-            self._profile.disable()
-            self._recorder._profiling = False
-        self._recorder._finish_span(
-            self.name, self.args, self._start, end, self._profile
-        )
+        self._recorder._finish_span(self.name, self.args, self._start, end)
         return False
 
 
 class TelemetryRecorder:
-    """Metrics + trace events + profiles for one process."""
+    """Metrics + trace events for one process."""
 
-    def __init__(
-        self,
-        process: str = "main",
-        profile: bool = False,
-        profile_top: int = 5,
-        trace_id: str = "",
-    ) -> None:
+    def __init__(self, process: str = "main", trace_id: str = "") -> None:
         self.metrics = MetricsRegistry()
         self.events: list[dict[str, Any]] = []
-        self.profiles: list[dict[str, Any]] = []
         self.process = process
         self.trace_id = trace_id
         self.pid = os.getpid()
-        self.profile = profile
-        self.profile_top = profile_top
-        self._profiling = False
         #: pid -> process name of every worker whose document was absorbed
         self.workers: dict[int, str] = {}
         self.events.append({
@@ -118,14 +91,7 @@ class TelemetryRecorder:
     def span(self, name: str, attrs: dict[str, Any]) -> Span:
         return Span(self, name, attrs)
 
-    def _finish_span(
-        self,
-        name: str,
-        attrs: dict[str, Any],
-        start: float,
-        end: float,
-        profile: cProfile.Profile | None,
-    ) -> None:
+    def _finish_span(self, name: str, attrs: dict[str, Any], start: float, end: float) -> None:
         duration = end - start
         args = {key: _jsonable(value) for key, value in attrs.items()}
         if self.trace_id:
@@ -142,40 +108,22 @@ class TelemetryRecorder:
         })
         self.metrics.observe(f"span.{name}.s", duration)
         self.metrics.inc("span.count", span=name)
-        if profile is not None:
-            self._keep_profile(name, duration, profile)
-
-    def _keep_profile(self, name: str, duration: float,
-                      profile: cProfile.Profile) -> None:
-        """Retain the profile iff it ranks among the top-N slowest spans."""
-        if (len(self.profiles) >= self.profile_top
-                and duration <= self.profiles[-1]["duration_s"]):
-            return
-        buffer = io.StringIO()
-        stats = pstats.Stats(profile, stream=buffer)
-        stats.sort_stats("cumulative").print_stats(25)
-        self.profiles.append({
-            "span": name,
-            "duration_s": round(duration, 6),
-            "stats": buffer.getvalue(),
-        })
-        self.profiles.sort(key=lambda entry: -entry["duration_s"])
-        del self.profiles[self.profile_top:]
 
     # ------------------------------------------------------------------
+    def processes(self) -> list[dict[str, Any]]:
+        """This process and every absorbed worker, one entry per pid."""
+        processes = {**self.workers, self.pid: self.process}
+        return [{"pid": pid, "process": name} for pid, name in processes.items()]
+
     def snapshot_doc(self) -> dict[str, Any]:
         """Everything recorded so far (metrics with raw samples included)."""
-        processes = {**self.workers, self.pid: self.process}
         return {
             "process": self.process,
             "pid": self.pid,
             "trace_id": self.trace_id,
             "metrics": self.metrics.snapshot(include_values=True),
             "trace_events": list(self.events),
-            "profiles": list(self.profiles),
-            "processes": [
-                {"pid": pid, "process": name} for pid, name in processes.items()
-            ],
+            "processes": self.processes(),
         }
 
     def absorb(self, doc: dict[str, Any]) -> None:
@@ -193,10 +141,6 @@ class TelemetryRecorder:
             event for event in doc["trace_events"]
             if not (seen and event["ph"] == "M")
         )
-        if doc["profiles"]:
-            self.profiles.extend(doc["profiles"])
-            self.profiles.sort(key=lambda entry: -entry["duration_s"])
-            del self.profiles[self.profile_top:]
 
 
 def _jsonable(value: Any) -> Any:

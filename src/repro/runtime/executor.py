@@ -48,11 +48,6 @@ class FailureRecord:
     config_fingerprint: str
     elapsed_s: float
     attempts: int = 1
-    #: flight-recorder dump: the last few structured events before a
-    #: crash blame ("what was the pool doing").  Deliberately excluded
-    #: from rendered reports — events are schedule-dependent and reports
-    #: must stay bit-identical across ``--jobs``.
-    context: tuple[str, ...] = ()
 
     def summary(self) -> str:
         return f"{self.experiment_id}: {self.error_type}: {self.message}"

@@ -30,7 +30,9 @@ guarantee the serial runtime makes:
   own telemetry document and finished audit run blocks.  The parent
   folds each accepted result in where it receives it
   (:func:`_absorb`), so a result lost to a broken pool brings nothing
-  back and a re-run task is counted once.
+  back and a re-run task is counted once.  The absorbed trace is the
+  run's record of which worker ran what: each task is one
+  ``worker.task`` (or ``worker.prefetch``) span on its worker's pid.
 
 This module owns *where* a batch runs: :func:`run_serial` runs it in
 this process (the CLI's ``--jobs 1``, and the reference every parallel
@@ -104,17 +106,12 @@ class WorkerSpec:
     claim_poll_s: float = 0.05
     #: record telemetry inside workers and return it with each result
     telemetry: bool = False
-    #: capture per-span cProfile stats inside workers
-    profile: bool = False
     #: shared-memory catalog of population artefacts (set by run_fleet;
     #: workers that cannot attach fall back to local computation)
     shm_catalog: Any = None
     #: run-scoped trace id propagated into every worker span (None =
     #: tracing off)
     trace_id: str | None = None
-    #: run event-stream file (None = events off); fork workers append
-    #: to it directly
-    events_path: str | None = None
     #: audit sampling policy text (full / window:S:L / reservoir:K:SEED);
     #: set = audit on, and workers return their run blocks with each result
     audit_policy: str | None = None
@@ -145,12 +142,9 @@ def _worker_context(spec: WorkerSpec):
     # A fresh recorder per task: its document holds this task alone, and
     # whatever a fork inherited from the parent is dropped either way.
     if spec.telemetry:
-        obs.enable(obs.TelemetryRecorder(
-            process="worker", profile=spec.profile, trace_id=spec.trace_id or "",
-        ))
+        obs.enable(obs.TelemetryRecorder(process="worker", trace_id=spec.trace_id or ""))
     else:
         obs.disable()
-    obs.ensure_worker_events(spec.events_path, trace_id=spec.trace_id or "")
     if spec.audit_policy is not None:
         audit.enable(audit.AuditRecorder(policy=spec.audit_policy))
     else:
@@ -245,7 +239,6 @@ def _run_experiment_task(
     _mark_started(spec, experiment_id)
     ctx = _worker_context(spec)
     _record_queue_wait(submitted_ts)
-    obs.emit("started", experiment=experiment_id, worker=f"pid:{os.getpid()}")
     with obs.span("worker.task", experiment=experiment_id):
         resolve = _worker_resolve(spec)
         outcome = run_supervised(
@@ -302,7 +295,6 @@ def _crash_outcome(
     experiment_id: str, spec: WorkerSpec, message: str, attempts: int
 ) -> RunOutcome:
     obs.inc("parallel.crashes")
-    obs.emit("crash", experiment=experiment_id, reason=message)
     failure = FailureRecord(
         experiment_id=experiment_id,
         kind="crash",
@@ -312,7 +304,6 @@ def _crash_outcome(
         config_fingerprint=config_fingerprint(spec.config),
         elapsed_s=0.0,
         attempts=attempts,
-        context=obs.recent_events(),
     )
     return RunOutcome(experiment_id, None, failure, 0.0, attempts=attempts)
 
@@ -449,11 +440,6 @@ def run_many_parallel(
                         _absorb(result, stats)
                         outcome = result.outcome
                     outcomes[eid] = outcome
-                    obs.emit(
-                        "result", experiment=eid,
-                        status="ok" if outcome.ok else outcome.failure.kind,
-                        elapsed_s=round(outcome.elapsed_s, 3),
-                    )
                     flush()
             unfinished = [eid for eid in batch if eid not in outcomes]
             if broken and unfinished:
@@ -473,8 +459,6 @@ def run_many_parallel(
                         "isolating them to identify the culprit",
                         len(blamed), ", ".join(sorted(blamed)),
                     )
-                    for eid in sorted(blamed):
-                        obs.emit("resubmit", experiment=eid, reason="pool died; isolating")
                     isolate.extend(eid for eid in unfinished if eid in blamed)
                     pending.extend(
                         eid for eid in unfinished if eid not in blamed
@@ -495,10 +479,6 @@ def run_many_parallel(
                             logger.warning(
                                 "worker running %s died; retrying (%d/%d)",
                                 eid, crashes[eid], CRASH_RETRIES,
-                            )
-                            obs.emit(
-                                "resubmit", experiment=eid,
-                                reason=f"worker died ({crashes[eid]}/{CRASH_RETRIES})",
                             )
                             # a repeat offender re-runs quarantined
                             isolate.append(eid)
@@ -541,8 +521,6 @@ def run_fleet(
 
     jobs = jobs or default_jobs()
     obs.gauge("parallel.jobs", jobs)
-    for eid in experiment_ids:
-        obs.emit("scheduled", experiment=eid, worker="procpool")
     stats = StoreStats()
     publisher = None
     try:
@@ -593,32 +571,13 @@ def run_serial(
             claim_poll_s=spec.claim_poll_s,
         )
     ctx = ExperimentContext(spec.config, store=store)
-    for eid in experiment_ids:
-        obs.emit("scheduled", experiment=eid, worker="inproc")
-    body = _worker_resolve(dataclasses.replace(spec, chaos_kill=()))
-
-    def resolve(experiment_id: str) -> Callable:
-        obs.emit("started", experiment=experiment_id, worker="inproc")
-        return body(experiment_id)
-
-    def report_outcome(outcome: RunOutcome) -> None:
-        obs.emit(
-            "result",
-            experiment=outcome.experiment_id,
-            worker="inproc",
-            status="ok" if outcome.ok else outcome.failure.kind,
-            elapsed_s=round(outcome.elapsed_s, 3),
-        )
-        if on_outcome is not None:
-            on_outcome(outcome)
-
     report = run_many(
         experiment_ids,
         ctx,
         retries=spec.retries,
         timeout_s=spec.timeout_s,
         retry_backoff_s=spec.retry_backoff_s,
-        resolve=resolve,
-        on_outcome=report_outcome,
+        resolve=_worker_resolve(dataclasses.replace(spec, chaos_kill=())),
+        on_outcome=on_outcome,
     )
     return report, store.stats if store is not None else StoreStats()

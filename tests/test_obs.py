@@ -3,8 +3,8 @@
 Covers the guarantees the observability layer claims: near-zero cost
 while disabled, exact histogram quantiles, order-independent document
 merging (the same ``metrics.json`` regardless of worker scheduling),
-Perfetto-loadable trace documents, opt-in span profiling, and the
-schema validator the CI telemetry job runs.
+Perfetto-loadable trace documents that say which worker ran what, and
+the schema validator the CI telemetry job runs.
 """
 
 from __future__ import annotations
@@ -122,30 +122,36 @@ def test_merge_skips_summary_only_histograms():
     assert "latency_s" not in target.histograms  # samples were dropped
 
 
-def test_merge_shards_sorts_events_and_processes():
-    docs = []
+def test_recorder_renders_absorbed_documents_sorted():
+    parent = obs.TelemetryRecorder(process="main")
+    parent.pid = 1  # simulate distinct processes in one test
     for pid, process in [(30, "worker"), (10, "main"), (20, "worker")]:
         recorder = obs.TelemetryRecorder(process=process)
-        recorder.pid = pid  # simulate distinct processes in one test
+        recorder.pid = pid
         with recorder.span("unit.phase", {"pid": pid}):
             pass
-        docs.append(recorder.snapshot_doc())
-    registry, events, profiles, processes = obs.merge_shards(docs)
-    assert processes == [
+        parent.absorb(recorder.snapshot_doc())
+    metrics = obs.metrics_document(parent.metrics, parent.processes())
+    assert metrics["processes"] == [
+        {"pid": 1, "process": "main"},
         {"pid": 10, "process": "main"},
         {"pid": 20, "process": "worker"},
         {"pid": 30, "process": "worker"},
     ]
-    timestamps = [event["ts"] for event in events]
-    assert timestamps == sorted(timestamps)
-    assert registry.counters["span.count{span=unit.phase}"] == 3
+    assert metrics["counters"]["span.count{span=unit.phase}"] == 3
+    events = obs.trace_document(parent.events)["traceEvents"]
+    keys = [(event["ts"], event["pid"]) for event in events]
+    assert keys == sorted(keys)
 
 
 def test_determinism_view_drops_schedule_dependent_families():
     doc = {
         "counters": {
             "experiment.ok": 3,
+            "dta.chip_cycles": 12,
+            # kernel calls depend on how the schedule batches chips
             "dta.evaluations": 1,
+            "dta.cycles_analyzed": 6,
             "checkpoint.hits": 5,
             "worker.tasks": 4,
             "span.count{span=worker.task}": 4,
@@ -159,12 +165,12 @@ def test_determinism_view_drops_schedule_dependent_families():
     }
     view = obs.determinism_view(doc)
     assert view == {"counters": {
-        "experiment.ok": 3, "dta.evaluations": 1, "pv.chips_fabricated": 2,
+        "experiment.ok": 3, "dta.chip_cycles": 12, "pv.chips_fabricated": 2,
     }}
 
 
 # ----------------------------------------------------------------------
-# recorder: spans, trace events, profiling
+# recorder: spans and trace events
 # ----------------------------------------------------------------------
 
 def test_span_records_event_histogram_and_counter():
@@ -203,28 +209,6 @@ def test_metrics_document_conforms_to_checked_in_schema():
         recorder.metrics, [{"pid": recorder.pid, "process": "main"}]
     )
     check(doc, load_schema("metrics.schema.json"), label="metrics.json")
-
-
-def test_profiling_keeps_top_n_outermost_spans():
-    recorder = obs.enable(
-        obs.TelemetryRecorder(process="main", profile=True, profile_top=2)
-    )
-    for duration in (0.03, 0.01, 0.02):
-        with obs.span("unit.timed", ms=duration):
-            with obs.span("unit.nested"):  # must not be profiled
-                time.sleep(duration)
-    assert len(recorder.profiles) == 2
-    durations = [entry["duration_s"] for entry in recorder.profiles]
-    assert durations == sorted(durations, reverse=True)
-    assert all(entry["span"] == "unit.timed" for entry in recorder.profiles)
-    assert "cumulative" in recorder.profiles[0]["stats"]
-
-
-def test_profiling_off_keeps_nothing():
-    recorder = obs.enable(obs.TelemetryRecorder(process="main"))
-    with obs.span("unit.step"):
-        pass
-    assert recorder.profiles == []
 
 
 # ----------------------------------------------------------------------
@@ -293,13 +277,18 @@ pytest_fork = pytest.mark.skipif(
 )
 
 
+#: fig4_8 times several chips per (benchmark, corner): the fleet prefetch
+#: batches them into one kernel call where a serial run makes one each.
+TELEMETRY_EXPERIMENTS = ("fig3_4", "fig4_8", "tab3_ovh", "tab4_ovh")
+
+
 def run_cli_with_telemetry(tmp_path, name, jobs):
     from repro.experiments.__main__ import main
 
     metrics = tmp_path / f"metrics-{name}.json"
     trace = tmp_path / f"trace-{name}.json"
     code = main([
-        "fig3_4", "tab3_ovh", "tab4_ovh", "--fast", "--cycles", "200",
+        *TELEMETRY_EXPERIMENTS, "--fast", "--cycles", "200",
         "--jobs", str(jobs), "--checkpoint-dir", str(tmp_path / f"ckpt-{name}"),
         "--metrics-out", str(metrics), "--trace-out", str(trace),
     ])
@@ -315,7 +304,7 @@ def test_cli_metrics_are_schedule_invariant_and_schema_valid(tmp_path, capsys):
     # the documented determinism guarantee: --jobs 1 and --jobs 4 agree
     # on every schedule-invariant counter, bit for bit
     assert obs.determinism_view(serial_metrics) == obs.determinism_view(fleet_metrics)
-    assert serial_metrics["counters"]["experiment.ok"] == 3
+    assert serial_metrics["counters"]["experiment.ok"] == 4
 
     for doc in (serial_metrics, fleet_metrics):
         check(doc, load_schema("metrics.schema.json"), label="metrics.json")
@@ -329,6 +318,14 @@ def test_cli_metrics_are_schedule_invariant_and_schema_valid(tmp_path, capsys):
     pids = [p["pid"] for p in fleet_metrics["processes"]]
     assert len(pids) == len(set(pids))
 
+    # the trace answers "which worker ran what": one worker.task span
+    # per experiment, each on a pid metrics.json lists as a worker
+    tasks = [e for e in fleet_trace["traceEvents"] if e["name"] == "worker.task"]
+    assert len(tasks) == len(TELEMETRY_EXPERIMENTS)
+    assert sorted(e["args"]["experiment"] for e in tasks) == sorted(TELEMETRY_EXPERIMENTS)
+    workers = {p["pid"] for p in fleet_metrics["processes"] if p["process"] == "worker"}
+    assert {e["pid"] for e in tasks} <= workers
+
     # the terminal summary table rendered for the human
     out = capsys.readouterr().out
     assert "telemetry: spans by total wall-clock" in out
@@ -336,17 +333,3 @@ def test_cli_metrics_are_schedule_invariant_and_schema_valid(tmp_path, capsys):
 
     # telemetry off again after main() returns
     assert not obs.enabled()
-
-
-def test_cli_profile_writes_slowest_spans(tmp_path, capsys):
-    from repro.experiments.__main__ import main
-
-    profile = tmp_path / "profile.txt"
-    code = main([
-        "tab3_ovh", "--fast", "--cycles", "200", "--jobs", "1",
-        "--profile", str(profile), "--profile-top", "2",
-    ])
-    assert code == 0
-    text = profile.read_text()
-    assert "== profile 1/" in text
-    assert "cumulative" in text

@@ -126,8 +126,7 @@ def test_cli_jobs_1_and_2_text_reports_identical(tmp_path):
     assert main([*argv, "--jobs", "1", "--out", str(out_1)]) == 0
     # the --jobs 2 side is also traced: telemetry never reaches the report
     assert main([*argv, "--jobs", "2", "--out", str(out_2),
-                 "--trace-out", str(tmp_path / "trace.json"),
-                 "--events-out", str(tmp_path / "events.jsonl")]) == 0
+                 "--trace-out", str(tmp_path / "trace.json")]) == 0
     assert out_1.read_bytes() == out_2.read_bytes()
 
 
