@@ -66,7 +66,7 @@ def lint_seed_hygiene(root: str) -> list[str]:
     * module-level ``random.*()`` — the global RNG's state depends on
       import order and everything else that touched it, so its output
       differs between runs.  Use a seeded ``random.Random(seed)``
-      instance (or ``repro.runtime.backoff`` for jitter) instead.
+      instance instead.
 
     Mentions in strings and docstrings are fine; only calls are flagged.
     """

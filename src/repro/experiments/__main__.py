@@ -22,7 +22,7 @@ Examples::
     python -m repro.experiments fig3_10
     python -m repro.experiments all --cycles 50000
     python -m repro.experiments fig4_8 fig4_9 --fast --out results.txt
-    python -m repro.experiments all --fast --checkpoint-dir .ckpt --retries 1
+    python -m repro.experiments all --fast --checkpoint-dir .ckpt
     python -m repro.experiments all --fast --jobs 4   # parallel fan-out
     python -m repro.experiments all --fast --chaos-fail fig3_9   # self-test
     python -m repro.experiments all --fast --jobs 4 \
@@ -116,35 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="ignore existing checkpoints (recompute, but still refresh the store)",
     )
     runtime.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="re-run a failed experiment up to N extra times",
-    )
-    runtime.add_argument(
-        "--retry-backoff-s",
-        type=float,
-        default=0.0,
-        metavar="S",
-        help="base of the exponential inter-retry backoff with "
-        "deterministic jitter (0 = retry immediately; default: 0)",
-    )
-    runtime.add_argument(
-        "--claim-stale-s",
-        type=float,
-        default=600.0,
-        metavar="S",
-        help="checkpoint claims older than this are presumed orphaned "
-        "and broken (default: 600)",
-    )
-    runtime.add_argument(
-        "--timeout-s",
-        type=float,
-        metavar="S",
-        help="per-experiment wall-clock budget; overruns become timeout failures",
-    )
-    runtime.add_argument(
         "--chaos-fail",
         action="append",
         default=[],
@@ -228,16 +199,8 @@ def main(argv: list[str] | None = None) -> int:
             config = replace(config, width=args.width)
     except ValueError as exc:
         parser.error(f"invalid configuration: {exc}")
-    if args.retries < 0:
-        parser.error("--retries must be >= 0")
-    if args.timeout_s is not None and args.timeout_s <= 0:
-        parser.error("--timeout-s must be positive")
     if args.jobs < 0:
         parser.error("--jobs must be >= 0")
-    if args.retry_backoff_s < 0:
-        parser.error("--retry-backoff-s must be >= 0")
-    if args.claim_stale_s <= 0:
-        parser.error("--claim-stale-s must be positive")
     jobs = args.jobs or default_jobs()
 
     ids = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
@@ -314,13 +277,9 @@ def main(argv: list[str] | None = None) -> int:
         config=config,
         checkpoint_dir=checkpoint_dir,
         resume=not args.no_resume,
-        retries=args.retries,
-        timeout_s=args.timeout_s,
-        retry_backoff_s=args.retry_backoff_s,
         chaos_fail=tuple(args.chaos_fail),
         chaos_kill=tuple(args.chaos_kill),
         verbose=args.verbose,
-        claim_stale_s=args.claim_stale_s,
         telemetry=telemetry_on,
         trace_id=trace_id or None,
         audit_policy=audit_policy if audit_on else None,

@@ -3,22 +3,20 @@
 The runtime applies the paper's detect/contain/replay philosophy to the
 reproduction harness itself:
 
-* :mod:`repro.runtime.executor` — fault-isolated supervised runs; one
-  crashing experiment never aborts the batch.
+* :mod:`repro.runtime.executor` — fault-isolated supervised runs; each
+  experiment runs once, and one crashing experiment never aborts the
+  batch.
 * :mod:`repro.runtime.checkpoint` — checksum-verified on-disk store for
   expensive artefacts (chips, error traces) enabling checkpoint/resume.
 * :mod:`repro.runtime.parallel` — where a batch runs: serially in this
   process (``run_serial``) or fanned out across a process pool with
   deterministic merge and crash containment (``run_fleet``).
-* :mod:`repro.runtime.backoff` — exponential backoff with deterministic
-  seeded jitter for experiment retries.
 * :mod:`repro.runtime.chaos` — deliberate fault injection (experiment
   and store faults) so tests can prove the layers above degrade
   gracefully.
 * :mod:`repro.runtime.log` — shared structured logging.
 """
 
-from repro.runtime.backoff import backoff_delay, jitter_fraction
 from repro.runtime.checkpoint import (
     CheckpointStore,
     StoreStats,
@@ -26,7 +24,6 @@ from repro.runtime.checkpoint import (
     config_fingerprint,
 )
 from repro.runtime.executor import (
-    ExperimentTimeout,
     FailureRecord,
     RunOutcome,
     RunReport,
@@ -47,16 +44,13 @@ from repro.runtime.parallel import (
 
 __all__ = [
     "CheckpointStore",
-    "ExperimentTimeout",
     "FailureRecord",
     "RunOutcome",
     "RunReport",
     "StoreStats",
     "WorkerSpec",
     "artefact_key",
-    "backoff_delay",
     "config_fingerprint",
-    "jitter_fraction",
     "configure_logging",
     "default_jobs",
     "get_logger",

@@ -3,16 +3,16 @@
 A resilience layer that is never exercised is a liability, so this
 module makes the failure modes injectable: corrupt or truncate stored
 checkpoints, abort a store write partway through (a simulated crash or
-full disk), and raise arbitrary exceptions inside experiment bodies.
-Tests — and the CLI's ``--chaos-fail`` self-test flag — use these to
-prove the executor isolates faults and the store degrades to
-recomputation instead of assuming it.
+full disk), raise an exception inside an experiment body, and kill the
+worker process running one.  Tests — and the CLI's ``--chaos-fail`` and
+``--chaos-kill`` self-test flags — use these to prove the executor
+isolates faults, the pool contains a dead worker, and the store
+degrades to recomputation instead of assuming it.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from typing import Callable
 
 from repro.runtime.checkpoint import CheckpointStore
@@ -38,32 +38,6 @@ def failing_run(message: str = "injected failure", exc_type: type[BaseException]
     return run
 
 
-def flaky_run(fn: Callable, failures: int, message: str = "injected transient failure") -> Callable:
-    """Delegate to ``fn`` after raising on the first ``failures`` calls.
-
-    Exercises the executor's retry path deterministically.
-    """
-    state = {"remaining": failures}
-
-    def run(ctx):
-        if state["remaining"] > 0:
-            state["remaining"] -= 1
-            raise InjectedFailure(message)
-        return fn(ctx)
-
-    return run
-
-
-def hanging_run(seconds: float = 3600.0) -> Callable:
-    """An experiment body that sleeps past any reasonable timeout."""
-
-    def run(ctx):
-        time.sleep(seconds)
-        raise AssertionError("hanging_run outlived its watchdog")
-
-    return run
-
-
 def killed_run(exit_code: int = 86) -> Callable:
     """An experiment body that dies like a SIGKILL'd / OOM'd process.
 
@@ -75,26 +49,6 @@ def killed_run(exit_code: int = 86) -> Callable:
 
     def run(ctx):
         os._exit(exit_code)
-
-    return run
-
-
-def slow_run(seconds: float, fn: Callable | None = None) -> Callable:
-    """Delay ``fn`` (or a trivial success) by ``seconds``.
-
-    Used to prove the parallel watchdog measures from *worker start*:
-    N slow bodies queued on one worker each stay within a per-run
-    budget even though the last one finishes N x ``seconds`` after
-    submission.
-    """
-
-    def run(ctx):
-        time.sleep(seconds)
-        if fn is not None:
-            return fn(ctx)
-        from repro.experiments.report import ExperimentResult
-
-        return ExperimentResult("slow", f"slept {seconds:g}s")
 
     return run
 

@@ -7,17 +7,14 @@ one crashing figure can never abort the other twenty-one.  A run of
 many experiments always completes, reports a pass/fail summary, and
 signals failure through the exit code only at the end.
 
-Timeouts use a watchdog thread: the experiment body runs in a daemon
-worker and the supervisor abandons it when the wall-clock budget
-expires.  Python cannot forcibly kill a thread, so a timed-out body may
-keep computing in the background until process exit — the supervisor
-simply stops waiting, records a timeout failure, and moves on (graceful
-partial-result reporting rather than a hang).
+Each experiment runs exactly once.  Its body is a pure function of
+(config, key), so an exception it raises is not transient and a re-run
+would raise it again; the one transient failure — a killed pool worker
+— is handled by :mod:`repro.runtime.parallel`.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
@@ -25,15 +22,10 @@ from typing import Callable, Sequence
 
 from repro import obs
 from repro.experiments.report import ExperimentResult
-from repro.runtime.backoff import backoff_delay
 from repro.runtime.checkpoint import config_fingerprint
 from repro.runtime.log import get_logger
 
 logger = get_logger("executor")
-
-
-class ExperimentTimeout(RuntimeError):
-    """Raised by the supervisor when a run exceeds its wall-clock budget."""
 
 
 @dataclass
@@ -41,7 +33,7 @@ class FailureRecord:
     """Everything needed to triage one failed experiment run."""
 
     experiment_id: str
-    kind: str  # "exception" | "timeout" | "crash"
+    kind: str  # "exception" | "crash"
     error_type: str
     message: str
     traceback: str
@@ -97,8 +89,6 @@ class RunReport:
         for outcome in self.outcomes:
             if outcome.ok:
                 status = "ok"
-            elif outcome.failure is not None and outcome.failure.kind == "timeout":
-                status = "TIMEOUT"
             elif outcome.failure is not None and outcome.failure.kind == "crash":
                 status = "CRASH"
             else:
@@ -115,123 +105,50 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _call_with_timeout(fn: Callable, ctx, timeout_s: float | None):
-    if timeout_s is None:
-        return fn(ctx)
-    outcome: dict = {}
-    done = threading.Event()
-
-    def body() -> None:
-        try:
-            outcome["result"] = fn(ctx)
-        except BaseException as exc:  # re-raised in the supervisor
-            outcome["error"] = exc
-        finally:
-            done.set()
-
-    worker = threading.Thread(target=body, name="experiment-body", daemon=True)
-    worker.start()
-    if not done.wait(timeout_s):
-        raise ExperimentTimeout(
-            f"exceeded {timeout_s:g}s wall-clock budget (body abandoned)"
-        )
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["result"]
-
-
-def run_supervised(
-    experiment_id: str,
-    fn: Callable,
-    ctx,
-    retries: int = 0,
-    timeout_s: float | None = None,
-    retry_backoff_s: float = 0.0,
-) -> RunOutcome:
-    """Run one experiment, converting any exception into a FailureRecord.
-
-    ``retry_backoff_s`` > 0 sleeps between attempts with an
-    exponentially growing, deterministically jittered delay (seeded by
-    experiment id and attempt), so parallel workers retrying a
-    shared-resource failure never stampede it in lockstep.
+def run_supervised(experiment_id: str, fn: Callable, ctx) -> RunOutcome:
+    """Run one experiment once, converting any exception into a FailureRecord.
 
     ``KeyboardInterrupt`` and ``SystemExit`` are deliberately NOT
     contained — the user aborting the whole run must still work.
     """
     fingerprint = config_fingerprint(getattr(ctx, "config", None))
     start = time.monotonic()
-    failure: FailureRecord | None = None
-    attempts = 0
     with obs.span("experiment.run", experiment=experiment_id):
-        for attempt in range(1, retries + 2):
-            attempts = attempt
-            obs.inc("experiment.attempts")
-            if attempt > 1:
-                obs.inc("experiment.retries")
-                delay = backoff_delay(
-                    attempt - 1, retry_backoff_s, seed=(experiment_id, attempt)
-                )
-                if delay > 0.0:
-                    obs.inc("executor.backoff_s", delay)
-                    logger.info(
-                        "%s backing off %.3fs before attempt %d",
-                        experiment_id, delay, attempt,
-                    )
-                    time.sleep(delay)
-            try:
-                result = _call_with_timeout(fn, ctx, timeout_s)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as exc:
-                elapsed = time.monotonic() - start
-                kind = "timeout" if isinstance(exc, ExperimentTimeout) else "exception"
-                obs.inc("experiment.timeouts" if kind == "timeout"
-                        else "experiment.errors")
-                failure = FailureRecord(
-                    experiment_id=experiment_id,
-                    kind=kind,
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                    traceback="".join(
-                        traceback_module.format_exception(
-                            type(exc), exc, exc.__traceback__
-                        )
-                    ),
-                    config_fingerprint=fingerprint,
-                    elapsed_s=elapsed,
-                    attempts=attempt,
-                )
-                logger.warning(
-                    "%s failed (attempt %d/%d): %s: %s",
-                    experiment_id, attempt, retries + 1,
-                    failure.error_type, failure.message,
-                )
-            else:
-                elapsed = time.monotonic() - start
-                obs.inc("experiment.ok")
-                obs.inc("experiment.outcome", experiment=experiment_id, status="ok")
-                obs.observe("experiment.duration_s", elapsed)
-                logger.info(
-                    "%s ok in %.1fs (attempt %d)", experiment_id, elapsed, attempt
-                )
-                return RunOutcome(
-                    experiment_id, result, None, elapsed, attempts=attempt
-                )
-    assert failure is not None
+        obs.inc("experiment.attempts")
+        try:
+            result = fn(ctx)
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except BaseException as exc:
+            obs.inc("experiment.errors")
+            failure = FailureRecord(
+                experiment_id=experiment_id,
+                kind="exception",
+                error_type=type(exc).__name__,
+                message=str(exc),
+                traceback="".join(
+                    traceback_module.format_exception(type(exc), exc, exc.__traceback__)
+                ),
+                config_fingerprint=fingerprint,
+                elapsed_s=time.monotonic() - start,
+            )
+            logger.warning("%s failed: %s: %s", experiment_id, failure.error_type, failure.message)
+        else:
+            elapsed = time.monotonic() - start
+            obs.inc("experiment.ok")
+            obs.inc("experiment.outcome", experiment=experiment_id, status="ok")
+            obs.observe("experiment.duration_s", elapsed)
+            logger.info("%s ok in %.1fs", experiment_id, elapsed)
+            return RunOutcome(experiment_id, result, None, elapsed)
     obs.inc("experiment.failed")
     obs.inc("experiment.outcome", experiment=experiment_id, status=failure.kind)
     obs.observe("experiment.duration_s", time.monotonic() - start)
-    return RunOutcome(
-        experiment_id, None, failure, time.monotonic() - start, attempts=attempts
-    )
+    return RunOutcome(experiment_id, None, failure, time.monotonic() - start)
 
 
 def run_many(
     experiment_ids: Sequence[str],
     ctx,
-    retries: int = 0,
-    timeout_s: float | None = None,
-    retry_backoff_s: float = 0.0,
     resolve: Callable[[str], Callable] | None = None,
     on_outcome: Callable[[RunOutcome], None] | None = None,
 ) -> RunReport:
@@ -246,11 +163,7 @@ def run_many(
         from repro.experiments.registry import get_experiment as resolve
     report = RunReport()
     for experiment_id in experiment_ids:
-        outcome = run_supervised(
-            experiment_id, resolve(experiment_id), ctx,
-            retries=retries, timeout_s=timeout_s,
-            retry_backoff_s=retry_backoff_s,
-        )
+        outcome = run_supervised(experiment_id, resolve(experiment_id), ctx)
         report.outcomes.append(outcome)
         if on_outcome is not None:
             on_outcome(outcome)

@@ -16,15 +16,14 @@ guarantee the serial runtime makes:
   wall-clock fields.
 * **Fault isolation.**  Each experiment runs under
   :func:`~repro.runtime.executor.run_supervised` *inside* its worker,
-  so exceptions, retries, and timeouts behave exactly as in a serial
-  run — and because the watchdog clock starts inside the worker, time
-  spent queued behind other experiments never counts against
-  ``--timeout-s``.  A worker that dies outright (SIGKILL, OOM,
-  ``--chaos-kill``) breaks the pool; the orchestrator rebuilds the
-  pool, re-runs tasks that never started, gives possibly-innocent
-  started tasks :data:`CRASH_RETRIES` more chances, and converts repeat
-  offenders into ``kind="crash"`` failure records — one murdered
-  worker degrades to one failed experiment, never a dead run.
+  so an exception becomes the same failure record as in a serial run.
+  A worker that dies outright (SIGKILL, OOM, ``--chaos-kill``) breaks
+  the pool; the orchestrator rebuilds the pool, re-runs tasks that
+  never started, gives possibly-innocent started tasks
+  :data:`CRASH_RETRIES` more chances, and converts repeat offenders
+  into ``kind="crash"`` failure records — one murdered worker degrades
+  to one failed experiment, never a dead run.  This is the only re-run
+  in the runtime: a dead worker is transient, an exception is not.
 * **One channel back.**  Every task returns a :class:`TaskResult`: its
   outcome, its store statistics, and — when the run records them — its
   own telemetry document and finished audit run blocks.  The parent
@@ -92,18 +91,11 @@ class WorkerSpec:
     config: Any  # ExperimentConfig (a frozen dataclass of plain values)
     checkpoint_dir: str | None = None
     resume: bool = True
-    retries: int = 0
-    timeout_s: float | None = None
-    #: base of the exponential inter-retry backoff (0 = retry immediately)
-    retry_backoff_s: float = 0.0
     chaos_fail: tuple[str, ...] = ()
     chaos_kill: tuple[str, ...] = ()
-    chaos_slow: tuple[tuple[str, float], ...] = ()
     verbose: int = 0
     #: parent-managed scratch dir for started-task markers
     scratch_dir: str | None = None
-    claim_stale_s: float = 600.0
-    claim_poll_s: float = 0.05
     #: record telemetry inside workers and return it with each result
     telemetry: bool = False
     #: shared-memory catalog of population artefacts (set by run_fleet;
@@ -151,13 +143,7 @@ def _worker_context(spec: WorkerSpec):
         audit.disable()
     store = None
     if spec.checkpoint_dir:
-        store = CheckpointStore(
-            spec.checkpoint_dir,
-            resume=spec.resume,
-            claims=True,
-            claim_stale_s=spec.claim_stale_s,
-            claim_poll_s=spec.claim_poll_s,
-        )
+        store = CheckpointStore(spec.checkpoint_dir, resume=spec.resume, claims=True)
     shared = None
     if spec.shm_catalog is not None:
         from repro.runtime.shm import ShmReader
@@ -170,24 +156,20 @@ def _worker_context(spec: WorkerSpec):
 
 def _worker_resolve(spec: WorkerSpec) -> Callable[[str], Callable]:
     from repro.experiments.registry import get_experiment
-    from repro.runtime.chaos import chaos_resolve, killed_run, slow_run
+    from repro.runtime.chaos import chaos_resolve, killed_run
 
     resolve: Callable[[str], Callable] = get_experiment
     if spec.chaos_fail:
         resolve = chaos_resolve(set(spec.chaos_fail), resolve)
-    if spec.chaos_kill or spec.chaos_slow:
+    if spec.chaos_kill:
         kill = set(spec.chaos_kill)
-        slow = dict(spec.chaos_slow)
         base = resolve
 
         def resolve(experiment_id: str) -> Callable:
             if experiment_id in kill:
                 logger.info("chaos: killing worker running %s", experiment_id)
                 return killed_run()
-            body = base(experiment_id)
-            if experiment_id in slow:
-                body = slow_run(slow[experiment_id], body)
-            return body
+            return base(experiment_id)
 
     return resolve
 
@@ -228,12 +210,7 @@ def _task_result(ctx, outcome: RunOutcome | None = None) -> TaskResult:
 def _run_experiment_task(
     spec: WorkerSpec, experiment_id: str, submitted_ts: float | None = None
 ) -> TaskResult:
-    """Run one supervised experiment inside a worker process.
-
-    The watchdog clock starts *here* — inside the worker — so time the
-    task spent queued behind other work never counts against the
-    ``--timeout-s`` budget.
-    """
+    """Run one supervised experiment inside a worker process."""
     from repro.runtime.executor import run_supervised
 
     _mark_started(spec, experiment_id)
@@ -241,14 +218,7 @@ def _run_experiment_task(
     _record_queue_wait(submitted_ts)
     with obs.span("worker.task", experiment=experiment_id):
         resolve = _worker_resolve(spec)
-        outcome = run_supervised(
-            experiment_id,
-            resolve(experiment_id),
-            ctx,
-            retries=spec.retries,
-            timeout_s=spec.timeout_s,
-            retry_backoff_s=spec.retry_backoff_s,
-        )
+        outcome = run_supervised(experiment_id, resolve(experiment_id), ctx)
     return _task_result(ctx, outcome)
 
 
@@ -556,27 +526,19 @@ def run_serial(
     """Run the batch in this process: the CLI's ``--jobs 1`` path.
 
     The reference every :func:`run_fleet` report must match byte for
-    byte.  ``chaos_fail`` and ``chaos_slow`` are honoured; ``chaos_kill``
-    is not -- its ``os._exit`` body would take this process down, which
-    is why the CLI refuses ``--chaos-kill`` with ``--jobs 1``.
+    byte.  ``chaos_fail`` is honoured; ``chaos_kill`` is not -- its
+    ``os._exit`` body would take this process down, which is why the
+    CLI refuses ``--chaos-kill`` with ``--jobs 1``.
     """
     from repro.experiments.runner import ExperimentContext
 
     store = None
     if spec.checkpoint_dir:
-        store = CheckpointStore(
-            spec.checkpoint_dir,
-            resume=spec.resume,
-            claim_stale_s=spec.claim_stale_s,
-            claim_poll_s=spec.claim_poll_s,
-        )
+        store = CheckpointStore(spec.checkpoint_dir, resume=spec.resume)
     ctx = ExperimentContext(spec.config, store=store)
     report = run_many(
         experiment_ids,
         ctx,
-        retries=spec.retries,
-        timeout_s=spec.timeout_s,
-        retry_backoff_s=spec.retry_backoff_s,
         resolve=_worker_resolve(dataclasses.replace(spec, chaos_kill=())),
         on_outcome=on_outcome,
     )

@@ -1,10 +1,9 @@
 """Tests for the parallel runtime: determinism, shared-store safety,
-crash containment, and worker-side watchdog semantics.
+and crash containment.
 
 Mirrors the chaos-driven style of test_runtime.py: every guarantee the
 fan-out layer claims is proven by injecting the corresponding fault —
-a murdered worker, two processes racing on one store, a queue so long
-that a submission-measured timeout would misfire.
+a murdered worker, two processes racing on one store.
 """
 
 from __future__ import annotations
@@ -342,29 +341,6 @@ def test_task_returns_only_its_own_telemetry_and_audit(tmp_path):
     finally:
         obs.disable()
         audit.disable()
-
-
-# ----------------------------------------------------------------------
-# watchdog semantics: the clock starts at worker start, not submission
-# ----------------------------------------------------------------------
-
-def test_timeout_measured_from_worker_start_not_submission(tmp_path):
-    # Three 0.6s experiments queued on ONE worker: the last starts
-    # ~1.2s after submission.  A submission-measured 1.0s watchdog
-    # would kill it; the worker-start watchdog must not.
-    slow = tuple((eid, 0.6) for eid in ("tab3_ovh", "tab4_ovh", "fig3_4"))
-    spec = tiny_spec(tmp_path, chaos_slow=slow, timeout_s=1.0)
-    report, _ = run_many_parallel(
-        ["tab3_ovh", "tab4_ovh", "fig3_4"], spec, jobs=1
-    )
-    assert report.ok, report.summary_text()
-
-
-def test_timeout_still_fires_inside_workers(tmp_path):
-    spec = tiny_spec(tmp_path, chaos_slow=(("tab3_ovh", 30.0),), timeout_s=0.3)
-    report, _ = run_many_parallel(["tab3_ovh", "tab4_ovh"], spec, jobs=2)
-    assert [o.ok for o in report.outcomes] == [False, True]
-    assert report.outcomes[0].failure.kind == "timeout"
 
 
 # ----------------------------------------------------------------------
