@@ -5,8 +5,9 @@ Thin argparse front-end over :mod:`repro.obs.audit`:
 * ``why`` — cycle-level provenance: what error hit at cycle N, which
   gate is to blame, and what each scheme decided.  Three sources
   compose: ``--audit STREAM`` looks decisions up in a recorded stream,
-  ``--experiment ID`` recomputes the gate-level blame by replaying the
-  cycle's input transition through :func:`analyze_choke_event`, and
+  ``--experiment ID`` recomputes the gate-level blame by timing the
+  cycle's input transition node-resolved and tracing it with
+  :func:`analyze_choke_event`, and
   ``--fixture`` runs the whole chain on the hand-computed forced-choke
   circuit from :mod:`repro.qa.circuits` (self-contained — the
   acceptance demo).
@@ -156,7 +157,7 @@ def _cmd_why_fixture(args: argparse.Namespace) -> int:
     from repro.core.trident import controller as trident_mod
     from repro.qa.circuits import forced_choke_chip, synthetic_error_trace
     from repro.timing.choke import analyze_choke_event
-    from repro.timing.dta import ERR_CE, ERR_NONE
+    from repro.timing.dta import ERR_CE, ERR_NONE, single_transition_arrivals
 
     cycle = args.cycle if args.cycle is not None else 3
     fixture = forced_choke_chip()
@@ -164,8 +165,11 @@ def _cmd_why_fixture(args: argparse.Namespace) -> int:
     # short branch), b toggles across the cycle boundary.
     prev = np.array([0, 0, 1])
     curr = np.array([0, 1, 1])
+    late, _early, toggled = single_transition_arrivals(
+        fixture.circuit, prev, curr, fixture.chip.delays
+    )
     event = analyze_choke_event(
-        fixture.circuit, fixture.chip, prev, curr, fixture.nominal_critical
+        fixture.circuit, fixture.chip, late, toggled, fixture.nominal_critical
     )
     if event is None:  # pragma: no cover - the fixture guarantees an event
         print("audit why: fixture produced no choke event", file=sys.stderr)
@@ -214,6 +218,7 @@ def _experiment_blame(args: argparse.Namespace) -> list[str]:
     from repro.experiments.runner import ExperimentContext
     from repro.runtime import CheckpointStore
     from repro.timing.choke import analyze_choke_event
+    from repro.timing.dta import single_transition_arrivals
 
     if args.experiment not in EXPERIMENTS:
         raise SystemExit(f"audit why: unknown experiment {args.experiment!r}")
@@ -233,10 +238,10 @@ def _experiment_blame(args: argparse.Namespace) -> list[str]:
             f"audit why: cycle {cycle} outside trace "
             f"(0..{inputs.shape[1] - 2})"
         )
-    event = analyze_choke_event(
-        stage.circuit, chip, inputs[:, cycle], inputs[:, cycle + 1],
-        stage.nominal_critical_delay,
+    late, _early, toggled = single_transition_arrivals(
+        stage.circuit, inputs[:, cycle], inputs[:, cycle + 1], chip.delays
     )
+    event = analyze_choke_event(stage.circuit, chip, late, toggled, stage.nominal_critical_delay)
     if event is None:
         return [f"  blame: no choke path at cycle {cycle} on chip seed "
                 f"{chip_seed} (sensitised delay within nominal critical)"]

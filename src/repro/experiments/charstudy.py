@@ -12,7 +12,7 @@ from repro.arch.isa import INSTRUCTIONS, Instr
 from repro.circuits.alu import Alu, AluOp
 from repro.pv.chip import ChipSample
 from repro.timing.choke import ChokeEvent, analyze_choke_event
-from repro.timing.dta import cycle_timings
+from repro.timing.dta import single_transition_arrivals
 from repro.timing.levelize import LevelizedCircuit
 
 _COMMON = np.array([0, 1, 2, 3, 4, 8, 16, 0xFF, 0xFFFF], dtype=np.uint64)
@@ -97,32 +97,39 @@ def collect_choke_events(
     circuit: LevelizedCircuit,
     chip: ChipSample,
     inputs: np.ndarray,
+    t_late: np.ndarray,
     nominal_critical: float,
     max_tracebacks: int = 40,
     ratio_threshold: float = 2.0,
 ) -> list[ChokeEvent]:
     """Find and analyse choke events in a vector stream on one chip.
 
-    Runs batch DTA, selects the cycles whose sensitised delay exceeds the
-    PV-free critical path, and traces up to ``max_tracebacks`` of them
-    (spread across the CDL range so every category gets candidates).
+    ``t_late`` is the chip's per-cycle latest output arrival over
+    ``inputs`` (a :func:`~repro.timing.dta.batch_cycle_timings` row).
+    Selects the cycles whose sensitised delay exceeds the PV-free
+    critical path and traces up to ``max_tracebacks`` of them (spread
+    across the CDL range so every category gets candidates); the picked
+    transitions are timed node-resolved in one batched call.
     """
-    timings = cycle_timings(circuit, inputs, chip.delays)
-    over = np.flatnonzero(timings.t_late > nominal_critical)
+    over = np.flatnonzero(t_late > nominal_critical)
     if len(over) == 0:
         return []
     # Spread the traceback budget across the observed CDL range.
-    order = np.argsort(timings.t_late[over])
+    order = np.argsort(t_late[over])
     if len(over) > max_tracebacks:
         picks = np.linspace(0, len(over) - 1, max_tracebacks).astype(int)
         order = order[picks]
+    cycles = over[order]
+    late, _early, toggled = single_transition_arrivals(
+        circuit, inputs[:, cycles], inputs[:, cycles + 1], chip.delays
+    )
     events: list[ChokeEvent] = []
-    for index in over[order]:
+    for event_late, event_toggled in zip(late.T, toggled.T):
         event = analyze_choke_event(
             circuit,
             chip,
-            inputs[:, index],
-            inputs[:, index + 1],
+            event_late,
+            event_toggled,
             nominal_critical,
             ratio_threshold=ratio_threshold,
         )

@@ -37,7 +37,7 @@ from repro.experiments.report import ExperimentResult, Table
 from repro.experiments.runner import ExperimentContext
 from repro.pv.delaymodel import nominal_gate_delays
 from repro.timing.choke import CDL_CATEGORIES
-from repro.timing.dta import cycle_timings
+from repro.timing.dta import batch_cycle_timings
 
 TITLE = "CGL vs CDL category per ALU operation (STC and NTC)"
 
@@ -49,35 +49,36 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
 
     for corner in ("STC", "NTC"):
         nominal = nominal_gate_delays(alu.netlist, ctx.corner(corner))
+        chips = [
+            ctx.alu_chip(seed=1000 + chip_index, corner=corner)
+            for chip_index in range(config.characterization_chips)
+        ]
 
         best: dict[tuple, float] = {}
         counts: dict[tuple, int] = {}
-        op_baseline: dict[int, float] = {}
-        op_inputs: dict[tuple, np.ndarray] = {}
         for op in CH3_OPS:
-            for chip_index in range(config.characterization_chips):
+            # One population call per (op, chip) stream: row 0 is the
+            # PV-free timing, row 1 the chip's.  The operation's own
+            # PV-free sensitised critical delay is the worst row 0 over
+            # the same vector population the chips see.
+            streams = []
+            baseline = 0.0
+            for chip_index, chip in enumerate(chips):
                 rng = np.random.default_rng(
                     stable_seed(corner, int(op), chip_index)
                 )
-                op_inputs[(int(op), chip_index)] = op_vector_stream(
+                inputs = op_vector_stream(
                     alu, op, config.characterization_vectors, rng
                 )
-            # the operation's own PV-free sensitised critical delay, over
-            # the same vector population the chips will see
-            worst = 0.0
-            for chip_index in range(config.characterization_chips):
-                timings = cycle_timings(
-                    circuit, op_inputs[(int(op), chip_index)], nominal
+                timings = batch_cycle_timings(
+                    circuit, inputs, np.stack([nominal, chip.delays])
                 )
-                worst = max(worst, float(timings.t_late.max()))
-            op_baseline[int(op)] = worst
+                baseline = max(baseline, float(timings.t_late[0].max()))
+                streams.append((chip, inputs, timings.t_late[1]))
 
-        for chip_index in range(config.characterization_chips):
-            chip = ctx.alu_chip(seed=1000 + chip_index, corner=corner)
-            for op in CH3_OPS:
-                inputs = op_inputs[(int(op), chip_index)]
+            for chip, inputs, t_late in streams:
                 events = collect_choke_events(
-                    circuit, chip, inputs, op_baseline[int(op)]
+                    circuit, chip, inputs, t_late, baseline
                 )
                 for event in events:
                     key = (op.name, event.category)

@@ -20,7 +20,7 @@ from repro.arch.isa import FIG4_2_INSTRS
 from repro.experiments.charstudy import instr_vector_stream, stable_seed
 from repro.experiments.report import ExperimentResult, Table
 from repro.experiments.runner import ExperimentContext
-from repro.timing.dta import cycle_timings
+from repro.timing.dta import batch_cycle_timings
 
 TITLE = "normalized path-delay variation per instruction, 4 configurations"
 
@@ -45,6 +45,17 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
 
     for corner, buffered, label in CONFIGS:
         stage = ctx.stage(corner, buffered)
+        chips = [
+            ctx.chip(
+                seed=config.ch4_chip_seed + chip_index * 37,
+                corner=corner,
+                buffered=buffered,
+            )
+            for chip_index in range(chips_per_config)
+        ]
+        # Row 0 is the PV-free timing, rows 1.. the chips': every
+        # instruction stream is timed in one population call.
+        delay_rows = np.stack([stage.nominal_delays, *(chip.delays for chip in chips)])
         table = Table(
             f"{label}: normalized path delay (mean / min / max)",
             ["instr", "mean", "min", "max"],
@@ -56,17 +67,11 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
             inputs = instr_vector_stream(
                 stage.alu, instr, config.characterization_vectors, rng
             )
-            nominal = cycle_timings(stage.circuit, inputs, stage.nominal_delays)
+            timings = batch_cycle_timings(stage.circuit, inputs, delay_rows)
             means, lows, highs = [], [], []
-            for chip_index in range(chips_per_config):
-                chip = ctx.chip(
-                    seed=config.ch4_chip_seed + chip_index * 37,
-                    corner=corner,
-                    buffered=buffered,
-                )
-                timings = cycle_timings(stage.circuit, inputs, chip.delays)
-                late_ratio = _ratios(timings.t_late, nominal.t_late)
-                early_ratio = _ratios(timings.t_early, nominal.t_early)
+            for row in range(1, len(delay_rows)):
+                late_ratio = _ratios(timings.t_late[row], timings.t_late[0])
+                early_ratio = _ratios(timings.t_early[row], timings.t_early[0])
                 means.append(float(late_ratio.mean()))
                 lows.append(float(early_ratio.min()))
                 highs.append(float(late_ratio.max()))

@@ -810,8 +810,11 @@ def _check_choke_detection(case: dict[str, int]) -> list[str]:
     prev[fixture.sel] = curr[fixture.sel] = True  # select the short branch
     curr[fixture.b] = True  # toggle it
 
+    late, _early, toggled = dta.single_transition_arrivals(
+        fixture.circuit, prev, curr, fixture.chip.delays
+    )
     event = choke_mod.analyze_choke_event(
-        fixture.circuit, fixture.chip, prev, curr, fixture.nominal_critical
+        fixture.circuit, fixture.chip, late, toggled, fixture.nominal_critical
     )
     expected_cdl = (
         (fixture.short_arrival - fixture.nominal_critical)

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro import obs
 from repro.pv.chip import ChipSample
-from repro.timing.dta import single_transition_arrivals
 from repro.timing.levelize import LevelizedCircuit
 from repro.timing.paths import Path, trace_dynamic_path
 
@@ -117,28 +116,28 @@ def fast_gates_on_path(
 def analyze_choke_event(
     circuit: LevelizedCircuit,
     chip: ChipSample,
-    vector_prev: np.ndarray,
-    vector_curr: np.ndarray,
+    late: np.ndarray,
+    toggled: np.ndarray,
     nominal_critical_delay: float,
     ratio_threshold: float = 1.5,
 ) -> ChokeEvent | None:
-    """Analyse one vector pair for a choke event on ``chip``.
+    """Analyse one transition for a choke event on ``chip``.
 
-    Runs node-resolved dynamic timing for the transition, and if the
-    sensitised critical delay exceeds the PV-free critical path delay,
-    traces the sensitised path and measures CDL/CGL.  Returns ``None``
-    when no choke path was created.
+    ``late``/``toggled`` are the transition's node-resolved latest
+    arrivals and toggle mask on ``chip``, as returned (one column per
+    pair) by :func:`repro.timing.dta.single_transition_arrivals`.  If
+    the sensitised critical delay exceeds the PV-free critical path
+    delay, traces the sensitised path and measures CDL/CGL.  Returns
+    ``None`` when no choke path was created.
     """
     if nominal_critical_delay <= 0:
         raise ValueError("nominal_critical_delay must be positive")
-    late, _early, toggled = single_transition_arrivals(
-        circuit, vector_prev, vector_curr, chip.delays
-    )
     out_ids = circuit.output_ids
     out_late = late[out_ids]
     if not np.isfinite(out_late).any():
         return None
-    worst_pos = int(np.nanargmax(np.where(np.isfinite(out_late), out_late, -np.inf)))
+    # Untoggled outputs hold -inf, so the argmax is the latest toggling one.
+    worst_pos = int(np.argmax(out_late))
     worst_output = int(out_ids[worst_pos])
     worst_delay = float(out_late[worst_pos])
 

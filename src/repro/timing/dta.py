@@ -354,17 +354,35 @@ def single_transition_arrivals(
     vector_curr: np.ndarray,
     delays: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Node-resolved arrivals for one vector pair.
+    """Node-resolved arrivals for one or many vector pairs.
 
-    Returns ``(late, early, toggled)`` arrays over all nodes; used by the
-    choke-path trace-back, which needs per-node (not aggregate) timing.
+    ``vector_prev``/``vector_curr`` are either two ``(num_inputs,)``
+    vectors or two ``(num_inputs, E)`` matrices whose column ``e`` is
+    one (prev, curr) pair.  Returns ``(late, early, toggled)`` arrays
+    over all nodes -- ``(num_nodes,)`` for a single pair,
+    ``(num_nodes, E)`` for E pairs; used by the choke-path trace-back,
+    which needs per-node (not aggregate) timing.
+
+    The E pairs are interleaved into one 2E-column stream, so logic
+    evaluation and arrival propagation run once for all of them; the
+    even transitions are the pairs (the odd ones, curr_e -> prev_e+1,
+    are discarded).  Each column is elementwise work, so column ``e`` is
+    bit-identical to timing pair ``e`` on its own.
     """
-    obs.inc("dta.single_transitions")
-    inputs = np.stack(
-        [np.asarray(vector_prev, dtype=bool), np.asarray(vector_curr, dtype=bool)],
-        axis=1,
-    )
+    prev = np.asarray(vector_prev, dtype=bool)
+    curr = np.asarray(vector_curr, dtype=bool)
+    single = prev.ndim == 1
+    if single:
+        prev, curr = prev[:, None], curr[:, None]
+    pairs = prev.shape[1]
+    obs.inc("dta.single_transitions", pairs)
+    inputs = np.empty((prev.shape[0], 2 * pairs), dtype=bool)
+    inputs[:, 0::2] = prev
+    inputs[:, 1::2] = curr
     values = evaluate_logic(circuit, inputs)
     late, early = _propagate_arrivals(circuit, values, delays)
-    toggled = values[:, 1] != values[:, 0]
-    return late[:, 0], early[:, 0], toggled
+    late, early = late[:, 0::2], early[:, 0::2]
+    toggled = values[:, 1::2] != values[:, 0::2]
+    if single:
+        return late[:, 0], early[:, 0], toggled[:, 0]
+    return late, early, toggled

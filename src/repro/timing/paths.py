@@ -9,8 +9,6 @@ import numpy as np
 from repro.gates.celllib import GateKind
 from repro.gates.netlist import Netlist
 
-_TOLERANCE = 1e-4
-
 
 @dataclass(frozen=True)
 class Path:
@@ -43,7 +41,11 @@ def _trace_back(
     endpoint: int,
     candidates=None,
 ) -> Path:
-    """Walk from ``endpoint`` to a source following arrival equalities."""
+    """Walk from ``endpoint`` to a source following arrival equalities.
+
+    Each step takes the (candidate) fanin whose arrival is closest to
+    the node's arrival minus its own delay.
+    """
     nodes = [endpoint]
     node = endpoint
     while True:
@@ -59,10 +61,8 @@ def _trace_back(
             gap = abs(float(arrivals[fanin]) - float(target))
             if best_gap is None or gap < best_gap:
                 best, best_gap = fanin, gap
-        if best is None or (best_gap is not None and best_gap > _TOLERANCE * max(1.0, abs(target))):
-            # Numerical slack; accept the closest fanin anyway if one exists.
-            if best is None:
-                break
+        if best is None:
+            break
         node = best
         nodes.append(node)
     nodes.reverse()

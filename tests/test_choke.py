@@ -11,8 +11,17 @@ from repro.timing.choke import (
     classify_cdl,
     fast_gates_on_path,
 )
+from repro.timing.dta import single_transition_arrivals
 from repro.timing.paths import Path
 from tests.util import forced_choke_chip
+
+
+def _analyze(circuit, chip, prev, curr, nominal_critical):
+    """Time one vector pair node-resolved, then analyse it."""
+    late, _early, toggled = single_transition_arrivals(
+        circuit, prev, curr, chip.delays
+    )
+    return analyze_choke_event(circuit, chip, late, toggled, nominal_critical)
 
 
 def test_classify_cdl_boundaries():
@@ -37,9 +46,7 @@ def test_forced_choke_event_detected():
     # sel=1 selects the short branch (mux computes b-input when sel); toggle b
     prev = np.array([0, 0, 1])
     curr = np.array([0, 1, 1])
-    event = analyze_choke_event(
-        fx.circuit, fx.chip, prev, curr, fx.nominal_critical
-    )
+    event = _analyze(fx.circuit, fx.chip, prev, curr, fx.nominal_critical)
     assert event is not None
     # short branch: 10 + 100 + 10(mux) = 120 -> CDL = 140%
     assert event.cdl_percent == pytest.approx(140.0)
@@ -54,7 +61,7 @@ def test_forced_choke_event_detected():
 
 def test_resolve_gates_and_blame_line_name_the_planted_gate():
     fx = forced_choke_chip()
-    event = analyze_choke_event(
+    event = _analyze(
         fx.circuit, fx.chip, np.array([0, 0, 1]), np.array([0, 1, 1]),
         fx.nominal_critical,
     )
@@ -71,7 +78,7 @@ def test_no_event_when_nothing_toggles():
     fx = forced_choke_chip()
     prev = np.array([1, 1, 1])
     curr = np.array([1, 1, 1])
-    event = analyze_choke_event(fx.circuit, fx.chip, prev, curr, 50.0)
+    event = _analyze(fx.circuit, fx.chip, prev, curr, 50.0)
     assert event is None  # nothing toggles at all
 
 
@@ -81,14 +88,14 @@ def test_no_event_when_choke_branch_untoggled():
     # arrival = 50 = nominal critical, so no choke path is created
     prev = np.array([0, 0, 0])
     curr = np.array([1, 0, 0])
-    event = analyze_choke_event(fx.circuit, fx.chip, prev, curr, 50.0)
+    event = _analyze(fx.circuit, fx.chip, prev, curr, 50.0)
     assert event is None
 
 
 def test_invalid_nominal_critical_rejected():
     fx = forced_choke_chip()
     with pytest.raises(ValueError):
-        analyze_choke_event(
+        _analyze(
             fx.circuit, fx.chip, np.array([0, 0, 0]), np.array([0, 1, 0]), 0.0
         )
 
@@ -120,9 +127,7 @@ def test_real_chip_choke_events_have_valid_structure(alu8, alu8_circuit):
             a = rng.integers(0, 256, size=2, dtype=np.uint64)
             b = rng.integers(0, 256, size=2, dtype=np.uint64)
             inputs = alu8.encode_batch(ops, a, b)
-            event = analyze_choke_event(
-                alu8_circuit, chip, inputs[:, 0], inputs[:, 1], critical
-            )
+            event = _analyze(alu8_circuit, chip, inputs[:, 0], inputs[:, 1], critical)
             if event is None:
                 continue
             found += 1

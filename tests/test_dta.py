@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.gates.builder import NetlistBuilder
+from repro.pv.chip import fabricate_chip
+from repro.pv.delaymodel import NTC
 from repro.timing.dta import (
     ERR_CE,
     ERR_NONE,
@@ -116,6 +119,62 @@ def test_single_transition_matches_batch(alu8, alu8_circuit):
         finite = np.isfinite(late[out])
         expected_late = late[out][finite].max() if finite.any() else 0.0
         assert batch.t_late[t] == pytest.approx(expected_late)
+
+
+def _alu8_stream(alu8, count, seed):
+    rng = np.random.default_rng(seed)
+    ops = rng.integers(0, 13, size=count)
+    a = rng.integers(0, 256, size=count, dtype=np.uint64)
+    b = rng.integers(0, 256, size=count, dtype=np.uint64)
+    return alu8.encode_batch(ops, a, b)
+
+
+def test_batched_single_transitions_equal_single_pairs(alu8, alu8_circuit):
+    inputs = _alu8_stream(alu8, 12, seed=23)
+    delays = fabricate_chip(alu8.netlist, NTC, seed=5).delays
+    # non-adjacent picks, a repeated pick (5 -> 6 twice) and a reversed
+    # pick (3 -> 2)
+    prev_cols = [0, 5, 9, 5, 3]
+    curr_cols = [1, 6, 10, 6, 2]
+    late, early, toggled = single_transition_arrivals(
+        alu8_circuit, inputs[:, prev_cols], inputs[:, curr_cols], delays
+    )
+    num_nodes = alu8.netlist.num_nodes
+    assert late.shape == early.shape == toggled.shape == (num_nodes, len(prev_cols))
+    for e, (p, c) in enumerate(zip(prev_cols, curr_cols)):
+        one_late, one_early, one_toggled = single_transition_arrivals(
+            alu8_circuit, inputs[:, p], inputs[:, c], delays
+        )
+        # exact, infinities of untoggled nodes included
+        assert np.array_equal(late[:, e], one_late)
+        assert np.array_equal(early[:, e], one_early)
+        assert np.array_equal(toggled[:, e], one_toggled)
+    assert np.isneginf(late).any() and np.isposinf(early).any()
+
+
+def test_single_pair_keeps_one_dimensional_results(alu8, alu8_circuit):
+    inputs = _alu8_stream(alu8, 2, seed=24)
+    delays = np.full(alu8.netlist.num_nodes, 5.0)
+    late, early, toggled = single_transition_arrivals(
+        alu8_circuit, inputs[:, 0], inputs[:, 1], delays
+    )
+    shape = (alu8.netlist.num_nodes,)
+    assert late.shape == early.shape == toggled.shape == shape
+
+
+def test_single_transition_counter_grows_by_pairs(alu8, alu8_circuit):
+    inputs = _alu8_stream(alu8, 8, seed=25)
+    delays = np.full(alu8.netlist.num_nodes, 5.0)
+    recorder = obs.enable(obs.TelemetryRecorder(process="main"))
+    try:
+        single_transition_arrivals(
+            alu8_circuit, inputs[:, :5], inputs[:, 1:6], delays
+        )
+        assert recorder.metrics.counters["dta.single_transitions"] == 5
+        single_transition_arrivals(alu8_circuit, inputs[:, 6], inputs[:, 7], delays)
+        assert recorder.metrics.counters["dta.single_transitions"] == 6
+    finally:
+        obs.disable()
 
 
 def test_requires_two_vectors(alu8_circuit, alu8):
