@@ -168,8 +168,8 @@ def _check_batch_vs_scalar(case: dict[str, int]) -> list[str]:
 
     Stricter than :func:`_check_dta_vs_reference`'s toleranced compare:
     every chip row of ``batch_cycle_timings`` and the thin single-chip
-    view must equal ``scalar_cycle_timings`` (the kept pre-batching
-    implementation) exactly, element for element.
+    view must equal ``scalar_cycle_timings`` (the independent reference
+    propagation) bit for bit, so a sign flip of a zero counts too.
     """
     netlist = _materialize_netlist(case)
     circuit = levelize(netlist)
@@ -192,25 +192,30 @@ def _check_batch_vs_scalar(case: dict[str, int]) -> list[str]:
         scalar = dta.scalar_cycle_timings(circuit, inputs, delays, chunk=chunk)
         row = batch.chip(index)
         for field_name in ("t_late", "t_early", "output_toggles"):
-            if not np.array_equal(
-                getattr(row, field_name), getattr(scalar, field_name)
-            ):
+            if not _bit_equal(getattr(row, field_name), getattr(scalar, field_name)):
                 violations.append(
                     f"chip {index}: batch {field_name} is not bit-identical "
                     f"to the scalar kernel"
                 )
                 break
         thin = dta.cycle_timings(circuit, inputs, delays, chunk=chunk)
-        if not (
-            np.array_equal(thin.t_late, scalar.t_late)
-            and np.array_equal(thin.t_early, scalar.t_early)
-            and np.array_equal(thin.output_toggles, scalar.output_toggles)
+        if not all(
+            _bit_equal(getattr(thin, name), getattr(scalar, name))
+            for name in ("t_late", "t_early", "output_toggles")
         ):
             violations.append(
                 f"chip {index}: single-chip view is not bit-identical to "
                 f"the scalar kernel"
             )
     return violations
+
+
+def _bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bit patterns: ``np.array_equal`` takes -0.0 for +0.0."""
+    if a.dtype != b.dtype:
+        return False
+    unsigned = f"u{a.itemsize}"
+    return np.array_equal(a.view(unsigned), b.view(unsigned))
 
 
 def _check_classify_partition(case: dict[str, int]) -> list[str]:

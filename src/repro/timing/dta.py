@@ -14,8 +14,8 @@ Modelling notes (documented substitutions):
   hazards from reconvergent fanout are not modelled.  The latest arrival
   is the max over toggling fanins plus the gate delay, the earliest is the
   min -- the standard dynamic-timing approximation.
-* Non-toggling nodes carry -inf (latest) / +inf (earliest), so the
-  propagation needs no explicit sensitisation masks.
+* Non-toggling nodes carry -inf (latest) / +inf (earliest), so a
+  non-toggling fanin never wins the max/min.
 
 Batched execution model
 -----------------------
@@ -26,11 +26,13 @@ values depend only on the input vectors -- never on delays -- so one
 :func:`~repro.timing.logic_eval.evaluate_logic` pass is shared by every
 chip, and the arrival propagation broadcasts a ``(num_chips, num_nodes)``
 delay matrix over a chip axis: the inner loop is levels x gate-kinds
-(driven by the packed :class:`~repro.timing.levelize.GateTable`), not
-chips x levels x gates.  The single-chip :func:`cycle_timings` is a thin
-view over the batch kernel -- same code path, population of one -- so
-scalar and batched results are bit-identical by construction (and that
-identity is enforced by the ``batch_vs_scalar`` QA oracle).
+(the circuit's :class:`~repro.timing.levelize.RowPlan`), not chips x
+levels x gates.  Late and -early arrivals travel in one array, so each
+group is one max chain and two adds.  The single-chip
+:func:`cycle_timings` is a thin view over the batch kernel -- same code
+path, population of one.  :func:`scalar_cycle_timings` keeps an
+independent direct propagation over ``circuit.levels``; the
+``batch_vs_scalar`` QA oracle holds the two bit-identical.
 """
 
 from __future__ import annotations
@@ -134,66 +136,73 @@ def _propagate_arrivals(
     circuit: LevelizedCircuit,
     values: np.ndarray,
     delays: np.ndarray,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Latest/earliest transition arrivals for each adjacent vector pair.
 
-    ``values`` is (num_nodes, C).  With a 1-D ``delays`` vector the
-    result matrices are (num_nodes, C-1); with a 2-D ``(num_chips,
-    num_nodes)`` delay matrix they gain a chip axis, (num_nodes,
-    num_chips, C-1).  Column ``t`` describes the vector-t -> vector-t+1
-    transition; non-toggling nodes hold -inf / +inf.  Both modes run
-    the identical element-wise float32 operations, so a population row
-    is bit-identical to the corresponding single-chip run.
+    ``values`` is (num_nodes, C), indexed by node id.  With a 1-D
+    ``delays`` vector the result matrices are (n, C-1); with a 2-D
+    ``(num_chips, num_nodes)`` delay matrix they gain a chip axis,
+    (n, num_chips, C-1).  ``n`` covers every node in node-id order, or
+    only the node ids in ``rows``, in that order.  Column ``t``
+    describes the vector-t -> vector-t+1 transition; non-toggling nodes
+    hold -inf / +inf.
+
+    The kernel runs over the circuit's row plan and propagates ``late``
+    and ``-early`` together in one ``(plan rows, 2 * chips, T)`` array:
+    a group is one gather per fanin, a running ``np.maximum``, one add
+    of the signed delay ``(+d, -d)`` and one add of the window's mask,
+    ``-0.0`` where the node toggles and ``-inf`` where it does not.
+    With non-negative delays this is bit-identical to a separate max/min
+    pass masked by ``np.where``: float32 rounding is sign-symmetric, so
+    ``-(a + d) == (-a) + (-d)`` and ``max(-x) == -min(x)``, and
+    ``x + -0.0 == x`` for every ``x``, signed zeros included.  Toggling
+    primary inputs start at ``(+0.0, -0.0)`` so ``early`` returns +0.0.
+    1-D delays run as a population of one.
     """
+    plan = circuit.plan
     delays32 = np.asarray(delays).astype(np.float32, copy=False)
     batched = delays32.ndim == 2
-    toggled = values[:, 1:] != values[:, :-1]
-    num_nodes, transitions = toggled.shape
-    if batched:
-        shape: tuple[int, ...] = (num_nodes, delays32.shape[0], transitions)
-    else:
-        shape = (num_nodes, transitions)
-    late = np.full(shape, _NEG, dtype=np.float32)
-    early = np.full(shape, _POS, dtype=np.float32)
+    if not batched:
+        delays32 = delays32[None, :]
+    chips = delays32.shape[0]
+    ordered = values[plan.order]
+    # The mask is built from its bits (np.where is ~6x slower here): the
+    # sign bit is always set and the exponent is all ones where the node
+    # holds still, so it reads -0.0 where it toggles, -inf where not.
+    bits = (ordered[:, 1:] == ordered[:, :-1]).astype(np.uint32)
+    bits *= np.uint32(0x7F800000)
+    bits |= np.uint32(0x80000000)
+    mask = bits.view(np.float32)
+    # Signed delays (+d | -d) per row; primary inputs switch at the
+    # launching clock edge, so the level-0 rows get (+0.0 | -0.0).
+    signed = np.empty((circuit.num_nodes, 2 * chips), dtype=np.float32)
+    late_delay = signed[:, :chips]
+    late_delay[:] = delays32[:, plan.order].T
+    late_delay[: plan.num_sources] = 0.0
+    np.negative(late_delay, out=signed[:, chips:])
 
-    # Primary inputs switch at the launching clock edge (t = 0).
-    in_ids = circuit.input_ids
-    in_toggled = toggled[in_ids]
-    if batched:
-        in_toggled = in_toggled[:, None, :]
-    late[in_ids] = np.where(in_toggled, np.float32(0.0), _NEG)
-    early[in_ids] = np.where(in_toggled, np.float32(0.0), _POS)
-
-    table = circuit.gate_table()
-    for g in range(table.num_groups):
-        _kind, span = table.group(g)
-        arity = int(table.arity[g])
-        nodes = table.nodes[span]
-        in0 = table.in0[span]
-        # The gathers allocate (fancy indexing); everything downstream
-        # accumulates in place -- maximum/minimum/add are elementwise
-        # and deterministic, so out= reuse cannot change a single bit,
-        # it only halves the temporary traffic of the hottest loop.
-        cand_late = late[in0]
-        cand_early = early[in0]
-        if arity > 1:
-            in1 = table.in1[span]
-            np.maximum(cand_late, late[in1], out=cand_late)
-            np.minimum(cand_early, early[in1], out=cand_early)
-        if arity > 2:
-            in2 = table.in2[span]
-            np.maximum(cand_late, late[in2], out=cand_late)
-            np.minimum(cand_early, early[in2], out=cand_early)
-        toggles = toggled[nodes]
-        if batched:
-            gate_delay = delays32[:, nodes].T[:, :, None]  # (G, chips, 1)
-            toggles = toggles[:, None, :]  # (G, 1, T)
+    arrivals = np.empty((circuit.num_nodes, 2 * chips, mask.shape[1]), np.float32)
+    sources = slice(0, plan.num_sources)
+    np.add(signed[sources, :, None], mask[sources, None, :], out=arrivals[sources])
+    for group in plan.groups:
+        span = slice(group.start, group.stop)
+        out = arrivals[span]
+        first, *rest = group.fanins
+        if rest:
+            np.maximum(arrivals[first], arrivals[rest[0]], out=out)
+            for fanin in rest[1:]:
+                np.maximum(out, arrivals[fanin], out=out)
+            out += signed[span, :, None]
         else:
-            gate_delay = delays32[nodes][:, None]  # (G, 1)
-        np.add(cand_late, gate_delay, out=cand_late)
-        np.add(cand_early, gate_delay, out=cand_early)
-        late[nodes] = np.where(toggles, cand_late, _NEG)
-        early[nodes] = np.where(toggles, cand_early, _POS)
+            np.add(arrivals[first], signed[span, :, None], out=out)
+        out += mask[span, None, :]
+
+    picked = arrivals[plan.row_of if rows is None else plan.row_of[rows]]
+    late = picked[:, :chips]
+    early = np.negative(picked[:, chips:])
+    if not batched:
+        return late[:, 0], early[:, 0]
     return late, early
 
 
@@ -262,10 +271,10 @@ def batch_cycle_timings(
                 fresh = evaluate_logic(circuit, inputs[:, start + 1 : stop + 1])
                 values = np.concatenate([boundary, fresh], axis=1)
             boundary = values[:, -1:]
-            late, early = _propagate_arrivals(circuit, values, delays32)
+            late, early = _propagate_arrivals(circuit, values, delays32, rows=out_ids)
             # (num_outputs, num_chips, T) -> reduce over the output axis.
-            out_late = late[out_ids].max(axis=0)
-            out_early = early[out_ids].min(axis=0)
+            out_late = late.max(axis=0)
+            out_early = early.min(axis=0)
             out_toggled = (values[out_ids, 1:] != values[out_ids, :-1]).sum(axis=0)
             # No output transition: nothing arrives, so nothing is late and
             # nothing violates hold.
@@ -306,18 +315,58 @@ def cycle_timings(
     return batch.chip(0)
 
 
+def _reference_arrivals(
+    circuit: LevelizedCircuit,
+    values: np.ndarray,
+    delays: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Node-order arrivals for one chip by the direct algorithm.
+
+    Per (level, kind) group in node ids: gather the fanins' arrivals,
+    take their max (late) and min (early), add the gate delay and keep
+    the result only where the node toggles (``np.where``), scattering
+    it back by node id.  Shares no code with :func:`_propagate_arrivals`,
+    so comparing the two checks the row plan, the fused late/-early
+    array and the mask add against the plain definition.
+    """
+    delays32 = np.asarray(delays).astype(np.float32, copy=False)
+    toggled = values[:, 1:] != values[:, :-1]
+    late = np.full(toggled.shape, _NEG, dtype=np.float32)
+    early = np.full(toggled.shape, _POS, dtype=np.float32)
+    in_ids = circuit.input_ids
+    late[in_ids] = np.where(toggled[in_ids], np.float32(0.0), _NEG)
+    early[in_ids] = np.where(toggled[in_ids], np.float32(0.0), _POS)
+    for level in circuit.levels:
+        for group in level:
+            cand_late = late[group.in0]
+            cand_early = early[group.in0]
+            for fanin in (group.in1, group.in2):
+                if len(fanin):
+                    np.maximum(cand_late, late[fanin], out=cand_late)
+                    np.minimum(cand_early, early[fanin], out=cand_early)
+            gate_delay = delays32[group.nodes][:, None]
+            np.add(cand_late, gate_delay, out=cand_late)
+            np.add(cand_early, gate_delay, out=cand_early)
+            toggles = toggled[group.nodes]
+            late[group.nodes] = np.where(toggles, cand_late, _NEG)
+            early[group.nodes] = np.where(toggles, cand_early, _POS)
+    return late, early
+
+
 def scalar_cycle_timings(
     circuit: LevelizedCircuit,
     inputs: np.ndarray,
     delays: np.ndarray,
     chunk: int = 2048,
 ) -> CycleTimings:
-    """The pre-batching single-chip implementation, kept as a comparator.
+    """The single-chip reference implementation, kept as a comparator.
 
     Windows re-run logic evaluation over ``chunk + 1`` columns and the
-    propagation runs without a chip axis.  The ``batch_vs_scalar`` QA
+    arrivals come from :func:`_reference_arrivals`, an independent
+    propagation over ``circuit.levels``.  The ``batch_vs_scalar`` QA
     oracle and the kernel-parity CI step diff :func:`batch_cycle_timings`
-    against this path; production code should call :func:`cycle_timings`.
+    against this path bit for bit; production code should call
+    :func:`cycle_timings`.
     """
     inputs = np.asarray(inputs, dtype=bool)
     total = inputs.shape[1]
@@ -336,7 +385,7 @@ def scalar_cycle_timings(
         stop = min(start + chunk, total - 1)
         window = inputs[:, start : stop + 1]
         values = evaluate_logic(circuit, window)
-        late, early = _propagate_arrivals(circuit, values, delays)
+        late, early = _reference_arrivals(circuit, values, delays)
         out_late = late[out_ids].max(axis=0)
         out_early = early[out_ids].min(axis=0)
         out_toggled = (values[out_ids, 1:] != values[out_ids, :-1]).sum(axis=0)

@@ -6,20 +6,23 @@ evaluated with a handful of numpy operations over all cycles at once.
 Two views of the same ordering coexist:
 
 * :class:`LevelGroup` / ``LevelizedCircuit.levels`` — the per-object
-  view, convenient for traversal code (STA, choke trace-back).
-* :class:`GateTable` — the packed structure-of-arrays view the hot
-  kernels iterate: every group's node/fanin ids live in one contiguous
-  int32 array, sliced by a ``(num_groups + 1)`` offset table, so the
-  per-level inner loop is plain slicing with no Python object traffic.
+  view in node ids, walked by the exact reference propagation in
+  :func:`repro.timing.dta.scalar_cycle_timings`.
+* :class:`RowPlan` / ``LevelizedCircuit.plan`` — the row order the hot
+  kernels (:func:`~repro.timing.logic_eval.evaluate_logic` and the
+  arrival propagation) iterate.  Nodes are renumbered so that every
+  group is one contiguous row range and fanins are row indices: a
+  group's output is a slice written in place, not a scatter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro.gates.celllib import GateKind, fanin_count
+from repro.gates.celllib import GateKind
 from repro.gates.netlist import Netlist
 
 
@@ -38,75 +41,66 @@ class LevelGroup:
 
 
 @dataclass(frozen=True)
-class GateTable:
-    """Packed (level, kind)-grouped gate arrays, shared by a whole population.
+class PlanGroup:
+    """One (level, kind) group of a :class:`RowPlan`.
 
-    Group ``g`` covers the half-open slice ``offsets[g]:offsets[g + 1]``
-    of the packed arrays.  ``in1``/``in2`` are aligned with ``nodes``
-    and hold ``-1`` where the gate kind has no such fanin, so every
-    packed array has the same length and a group slice is always valid.
-    The table is a pure reindexing of the netlist — it carries no
-    per-chip data, which is what lets one table drive the timing of an
-    entire Monte Carlo population.
+    The group's nodes own the contiguous rows ``start:stop``; ``fanins``
+    holds one row-index array per gate input (``in0``, ``in1``, then
+    the MUX2 select), aligned with those rows.
     """
 
-    kinds: tuple[GateKind, ...]  # per group
-    arity: np.ndarray  # per group fanin count, int8
-    levels: np.ndarray  # per group logic level, int32
-    offsets: np.ndarray  # (num_groups + 1,) int32 into the packed arrays
-    nodes: np.ndarray  # packed node ids, level-ordered, int32
-    in0: np.ndarray  # packed fanin 0
-    in1: np.ndarray  # packed fanin 1, -1 where absent
-    in2: np.ndarray  # packed fanin 2 (MUX2 select), -1 where absent
-
-    @property
-    def num_groups(self) -> int:
-        return len(self.kinds)
-
-    @property
-    def num_gates(self) -> int:
-        return len(self.nodes)
-
-    def group(self, g: int) -> tuple[GateKind, slice]:
-        """Gate kind and packed-array slice of group ``g``."""
-        return self.kinds[g], slice(int(self.offsets[g]), int(self.offsets[g + 1]))
+    kind: GateKind
+    start: int
+    stop: int
+    fanins: tuple[np.ndarray, ...]
 
 
-def pack_gate_table(levels: list[list[LevelGroup]]) -> GateTable:
-    """Flatten per-object level groups into one contiguous :class:`GateTable`."""
-    kinds: list[GateKind] = []
-    group_levels: list[int] = []
-    offsets = [0]
-    nodes: list[np.ndarray] = []
-    in0: list[np.ndarray] = []
-    in1: list[np.ndarray] = []
-    in2: list[np.ndarray] = []
-    for level_index, groups in enumerate(levels, start=1):
-        for group in groups:
-            size = len(group)
-            kinds.append(group.kind)
-            group_levels.append(level_index)
-            offsets.append(offsets[-1] + size)
-            nodes.append(group.nodes)
-            in0.append(group.in0)
-            missing = np.full(size, -1, dtype=np.int32)
-            in1.append(group.in1 if len(group.in1) else missing)
-            in2.append(group.in2 if len(group.in2) else missing)
+@dataclass(frozen=True)
+class RowPlan:
+    """The row order the logic and arrival kernels iterate.
 
-    def _pack(chunks: list[np.ndarray]) -> np.ndarray:
-        if not chunks:
-            return np.array([], dtype=np.int32)
-        return np.ascontiguousarray(np.concatenate(chunks).astype(np.int32))
+    Row ``r`` holds node ``order[r]``; ``row_of`` is the inverse.  The
+    first ``num_sources`` rows are the level-0 nodes, primary inputs
+    first in ``input_ids`` order, then the constants.  Each
+    :class:`PlanGroup` follows as one contiguous row range, level by
+    level, so a kernel writes a group's output as a slice and reads its
+    fanins, all in lower rows, by row index.  The plan is a pure
+    reindexing of the netlist: it carries no per-chip data, so one plan
+    drives the timing of a whole Monte Carlo population.
+    """
 
-    return GateTable(
-        kinds=tuple(kinds),
-        arity=np.array([fanin_count(kind) for kind in kinds], dtype=np.int8),
-        levels=np.array(group_levels, dtype=np.int32),
-        offsets=np.array(offsets, dtype=np.int32),
-        nodes=_pack(nodes),
-        in0=_pack(in0),
-        in1=_pack(in1),
-        in2=_pack(in2),
+    order: np.ndarray  # row -> node id, intp
+    row_of: np.ndarray  # node id -> row, intp
+    num_inputs: int
+    num_sources: int
+    const1_rows: np.ndarray
+    groups: tuple[PlanGroup, ...]
+
+
+def build_row_plan(circuit: LevelizedCircuit) -> RowPlan:
+    """Lay ``circuit``'s nodes out in kernel row order."""
+    input_ids = circuit.input_ids.astype(np.intp)
+    is_source = circuit.node_levels == 0
+    is_source[input_ids] = False
+    sources = np.concatenate([input_ids, np.flatnonzero(is_source)])
+    gates = [group for level in circuit.levels for group in level]
+    order = np.concatenate([sources, *(group.nodes for group in gates)]).astype(np.intp)
+    row_of = np.empty(circuit.num_nodes, dtype=np.intp)
+    row_of[order] = np.arange(circuit.num_nodes, dtype=np.intp)
+
+    groups: list[PlanGroup] = []
+    start = len(sources)
+    for group in gates:
+        fanins = tuple(row_of[ids] for ids in (group.in0, group.in1, group.in2) if len(ids))
+        groups.append(PlanGroup(group.kind, start, start + len(group), fanins))
+        start += len(group)
+    return RowPlan(
+        order=order,
+        row_of=row_of,
+        num_inputs=len(input_ids),
+        num_sources=len(sources),
+        const1_rows=row_of[circuit.const1_ids],
+        groups=tuple(groups),
     )
 
 
@@ -122,18 +116,16 @@ class LevelizedCircuit:
     const1_ids: np.ndarray
     levels: list[list[LevelGroup]]  # levels[0] is the first *gate* level
     node_levels: np.ndarray
-    table: GateTable | None = None
 
     @property
     def depth(self) -> int:
         """Number of gate levels."""
         return len(self.levels)
 
-    def gate_table(self) -> GateTable:
-        """The packed SoA view of the level groups (built once, cached)."""
-        if self.table is None:
-            self.table = pack_gate_table(self.levels)
-        return self.table
+    @cached_property
+    def plan(self) -> RowPlan:
+        """The kernels' row plan (built on first use, then cached)."""
+        return build_row_plan(self)
 
 
 def levelize(netlist: Netlist) -> LevelizedCircuit:

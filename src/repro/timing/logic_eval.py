@@ -1,7 +1,10 @@
 """Vectorised boolean evaluation of a levelised circuit.
 
 Evaluates every node's logic value for a whole batch of input vectors at
-once.  Semantics must agree with the scalar reference
+once, group by group over the circuit's
+:class:`~repro.timing.levelize.RowPlan` -- the same row order the
+arrival propagation walks -- so each group's output is a slice.
+Semantics must agree with the scalar reference
 :func:`repro.gates.celllib.evaluate_gate` (property-tested).
 """
 
@@ -10,19 +13,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gates.celllib import GateKind
-from repro.timing.levelize import GateTable, LevelizedCircuit
+from repro.timing.levelize import LevelizedCircuit, PlanGroup
 
 
-def _evaluate_table_group(values: np.ndarray, table: GateTable, g: int) -> None:
-    """Compute one packed group's node rows in place from fanin rows."""
-    kind, span = table.group(g)
-    a = values[table.in0[span]]
+def _evaluate_group(values: np.ndarray, group: PlanGroup) -> None:
+    """Compute one plan group's rows in place from its fanin rows."""
+    kind = group.kind
+    a = values[group.fanins[0]]
     if kind is GateKind.BUF or kind is GateKind.DBUF:
         result = a
     elif kind is GateKind.INV:
         result = ~a
     else:
-        b = values[table.in1[span]]
+        b = values[group.fanins[1]]
         if kind is GateKind.AND2:
             result = a & b
         elif kind is GateKind.OR2:
@@ -36,11 +39,11 @@ def _evaluate_table_group(values: np.ndarray, table: GateTable, g: int) -> None:
         elif kind is GateKind.XNOR2:
             result = ~(a ^ b)
         elif kind is GateKind.MUX2:
-            sel = values[table.in2[span]]
+            sel = values[group.fanins[2]]
             result = np.where(sel, b, a)
         else:
             raise ValueError(f"cannot evaluate kind {kind!r}")
-    values[table.nodes[span]] = result
+    values[group.start : group.stop] = result
 
 
 def evaluate_logic(circuit: LevelizedCircuit, inputs: np.ndarray) -> np.ndarray:
@@ -48,22 +51,21 @@ def evaluate_logic(circuit: LevelizedCircuit, inputs: np.ndarray) -> np.ndarray:
 
     ``inputs`` has shape (num_primary_inputs, num_vectors), rows ordered
     like ``circuit.input_ids``.  Returns a boolean (num_nodes,
-    num_vectors) matrix of node values.
+    num_vectors) matrix of node values, indexed by node id.  The work
+    runs over the circuit's row plan and is un-permuted once at the end.
     """
     inputs = np.asarray(inputs, dtype=bool)
     if inputs.ndim != 2 or inputs.shape[0] != len(circuit.input_ids):
         raise ValueError(
             f"inputs must be ({len(circuit.input_ids)}, cycles), got {inputs.shape}"
         )
-    num_vectors = inputs.shape[1]
-    values = np.zeros((circuit.num_nodes, num_vectors), dtype=bool)
-    values[circuit.input_ids] = inputs
-    if len(circuit.const1_ids):
-        values[circuit.const1_ids] = True
-    table = circuit.gate_table()
-    for g in range(table.num_groups):
-        _evaluate_table_group(values, table, g)
-    return values
+    plan = circuit.plan
+    values = np.zeros((circuit.num_nodes, inputs.shape[1]), dtype=bool)
+    values[: plan.num_inputs] = inputs
+    values[plan.const1_rows] = True
+    for group in plan.groups:
+        _evaluate_group(values, group)
+    return values[plan.row_of]
 
 
 def output_values(circuit: LevelizedCircuit, values: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Batched DTA kernel: batch/scalar parity and the shared-memory hand-off.
 
 The batch kernel's contract is *bit-identity*: ``batch_cycle_timings``
-row ``i`` must equal the pre-batching scalar path on chip ``i`` exactly,
+row ``i`` must equal the independent reference propagation of
+``scalar_cycle_timings`` on chip ``i`` bit for bit,
 for every chunking, population size, and degenerate shape.  The
 shared-memory tests pin the lifecycle rules: a crashing worker must
 never take the parent's segments down with it, and readers must degrade
@@ -31,11 +32,18 @@ def _random_inputs(netlist, num_vectors, seed):
     return rng.integers(0, 2, size=(num_inputs, num_vectors)).astype(bool)
 
 
+def _assert_timings_identical(timings, reference):
+    """Bit-for-bit: float compares would let -0.0 pass for +0.0."""
+    for name in ("t_late", "t_early"):
+        np.testing.assert_array_equal(
+            getattr(timings, name).view(np.uint32),
+            getattr(reference, name).view(np.uint32),
+        )
+    np.testing.assert_array_equal(timings.output_toggles, reference.output_toggles)
+
+
 def _assert_chip_equal(batch, index, reference):
-    view = batch.chip(index)
-    np.testing.assert_array_equal(view.t_late, reference.t_late)
-    np.testing.assert_array_equal(view.t_early, reference.t_early)
-    np.testing.assert_array_equal(view.output_toggles, reference.output_toggles)
+    _assert_timings_identical(batch.chip(index), reference)
 
 
 # ----------------------------------------------------------------------
@@ -76,9 +84,7 @@ def test_single_chip_view_is_batch_kernel():
 
     thin = cycle_timings(circuit, inputs, delays, chunk=8)
     reference = scalar_cycle_timings(circuit, inputs, delays, chunk=8)
-    np.testing.assert_array_equal(thin.t_late, reference.t_late)
-    np.testing.assert_array_equal(thin.t_early, reference.t_early)
-    np.testing.assert_array_equal(thin.output_toggles, reference.output_toggles)
+    _assert_timings_identical(thin, reference)
 
 
 # ----------------------------------------------------------------------

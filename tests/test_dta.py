@@ -5,6 +5,8 @@ import pytest
 
 from repro import obs
 from repro.gates.builder import NetlistBuilder
+from repro.gates.celllib import GateKind
+from repro.gates.netlist import Netlist
 from repro.pv.chip import fabricate_chip
 from repro.pv.delaymodel import NTC
 from repro.timing.dta import (
@@ -175,6 +177,70 @@ def test_single_transition_counter_grows_by_pairs(alu8, alu8_circuit):
         assert recorder.metrics.counters["dta.single_transitions"] == 6
     finally:
         obs.disable()
+
+
+def test_row_plan_orders_level_zero_first(alu8_circuit):
+    plan = alu8_circuit.plan
+    levels = alu8_circuit.node_levels
+    assert np.array_equal(np.sort(plan.order), np.arange(alu8_circuit.num_nodes))
+    assert np.array_equal(plan.row_of[plan.order], np.arange(alu8_circuit.num_nodes))
+    assert np.all(levels[plan.order[: plan.num_sources]] == 0)
+    assert np.all(levels[plan.order[plan.num_sources :]] > 0)
+    assert np.array_equal(
+        plan.order[: plan.num_inputs], alu8_circuit.input_ids.astype(np.intp)
+    )
+
+
+def test_row_plan_groups_read_only_lower_rows(alu8_circuit):
+    plan = alu8_circuit.plan
+    start = plan.num_sources
+    for group in plan.groups:
+        assert group.start == start and group.stop > group.start
+        for fanin in group.fanins:
+            assert len(fanin) == group.stop - group.start
+            assert fanin.max() < group.start
+        start = group.stop
+    assert start == alu8_circuit.num_nodes
+
+
+def test_row_plan_is_built_once(alu8_circuit):
+    assert alu8_circuit.plan is alu8_circuit.plan
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_propagate_rows_selects_full_result(alu8, alu8_circuit, batched):
+    from repro.timing.dta import _propagate_arrivals
+    from repro.timing.logic_eval import evaluate_logic
+
+    rng = np.random.default_rng(5)
+    inputs = rng.integers(0, 2, size=(len(alu8_circuit.input_ids), 33)).astype(bool)
+    values = evaluate_logic(alu8_circuit, inputs)
+    chips = [fabricate_chip(alu8.netlist, NTC, seed) for seed in (1, 2)]
+    delays = np.stack([chip.delays for chip in chips])
+    if not batched:
+        delays = delays[0]
+    ids = np.concatenate([alu8_circuit.output_ids, [0, 3, 3]])
+    late, early = _propagate_arrivals(alu8_circuit, values, delays)
+    some_late, some_early = _propagate_arrivals(alu8_circuit, values, delays, rows=ids)
+    assert late.shape == (alu8_circuit.num_nodes, *delays.shape[:-1], 32)
+    assert np.array_equal(some_late.view(np.uint32), late[ids].view(np.uint32))
+    assert np.array_equal(some_early.view(np.uint32), early[ids].view(np.uint32))
+
+
+def test_toggling_input_arrives_at_positive_zero():
+    netlist = Netlist("wire")
+    a = netlist.add(GateKind.INPUT, name="a")
+    netlist.mark_output("y", a)
+    netlist.mark_output("z", netlist.add(GateKind.BUF, (a,), name="z"))
+    circuit = levelize(netlist)
+    delays = np.array([0.0, 4.0])
+    timings = cycle_timings(circuit, np.array([[0, 1, 1]], dtype=bool), delays)
+    assert timings.t_late.tolist() == [4.0, 0.0]
+    assert timings.t_early.view(np.uint32)[0] == np.float32(0.0).view(np.uint32)
+    late, early, _ = single_transition_arrivals(
+        circuit, np.array([0]), np.array([1]), delays
+    )
+    assert not np.signbit(early[a]) and not np.signbit(late[a])
 
 
 def test_requires_two_vectors(alu8_circuit, alu8):
